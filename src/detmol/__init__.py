@@ -25,8 +25,7 @@ from .metrics import (
 )
 from .molgraph import (
     DEFAULT_VALENCES, Atom, Bond, ChemProblem, MolGraph, RepairError,
-    allowed_valences, detect_problems, implicit_hydrogens, isomorphic,
-    load_valence_table, repair,
+    allowed_valences, detect_problems, implicit_hydrogens, isomorphic, repair,
 )
 from .smiles import SmilesError, canonical_ranks, parse, write
 
@@ -46,7 +45,7 @@ __all__ = [
     "detect_problems", "ecfp", "edit_correct", "empty_channel",
     "evaluate_dataset", "filter_atoms", "filter_cands",
     "implicit_hydrogens", "iou", "is_chemically_valid",
-    "isomorphic", "load_cascade_config", "load_valence_table",
+    "isomorphic", "load_cascade_config",
     "mean_average_precision", "parse", "parse_label_file", "plant_errors",
     "project_pseudo_labels", "read_entity_set", "read_manifest", "repair",
     "score_pair", "tanimoto", "type_counts", "write", "write_entity_set",

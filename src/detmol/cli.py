@@ -134,6 +134,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
                         help="exit 1 if any image fails")
     common.add_argument("--jobs", type=int, default=1,
                         help="worker threads; output order is preserved")
+    constructor = argparse.ArgumentParser(add_help=False)
+    constructor.add_argument("--atom-merge-iou", type=float, default=0.5)
+    constructor.add_argument("--edge-expand-step", type=float, default=5.0)
+    constructor.add_argument("--edge-expand-limit", type=float, default=80.0)
+    constructor.add_argument("--max-repair-iterations", type=int, default=10)
 
     parser = argparse.ArgumentParser(
         prog="detmol",
@@ -142,16 +147,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True)
     children: list[argparse.ArgumentParser] = []
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[common, constructor],
                        help="detections -> SMILES manifest")
     p.add_argument("--detections", required=True,
                    help="root directory of per-image label folders")
     p.add_argument("--images", help="file listing image ids to process")
     p.add_argument("--out", default="-", help="output TSV ('-' for stdout)")
-    p.add_argument("--atom-merge-iou", type=float, default=0.5)
-    p.add_argument("--edge-expand-step", type=float, default=5.0)
-    p.add_argument("--edge-expand-limit", type=float, default=80.0)
-    p.add_argument("--max-repair-iterations", type=int, default=10)
     children.append(p)
     p.set_defaults(handler=_cmd_construct)
 
@@ -168,7 +169,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     children.append(p)
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("edit-correct", parents=[common],
+    p = sub.add_parser("edit-correct", parents=[common, constructor],
                        help="repair constructions against reference SMILES")
     p.add_argument("--detections", required=True)
     p.add_argument("--references", required=True)
@@ -176,10 +177,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--out-labels", help="write projected label folders here")
     p.add_argument("--summary", default="-",
                    help="TSV of image_id, cost, accepted ('-' for stdout)")
-    p.add_argument("--atom-merge-iou", type=float, default=0.5)
-    p.add_argument("--edge-expand-step", type=float, default=5.0)
-    p.add_argument("--edge-expand-limit", type=float, default=80.0)
-    p.add_argument("--max-repair-iterations", type=int, default=10)
     children.append(p)
     p.set_defaults(handler=_cmd_edit_correct)
 

@@ -13,8 +13,8 @@ from .entities import (
     EntitySet, intersects,
 )
 from .molgraph import (
-    ORDER_VALUE, Atom, Bond, MolGraph, allowed_valences, detect_problems,
-    isomorphic, match_order,
+    ORDER_VALUE, Atom, Bond, MolGraph, allowed_valences, connected_order,
+    detect_problems, isomorphic, match_order, neighbours,
 )
 
 EDIT_KINDS = (
@@ -211,7 +211,7 @@ def _search_mapping(
     pred_pairs = {b.pair: match_order(b.order) for b in pred.bonds}
     ref_pairs = {b.pair: match_order(b.order) for b in ref.bonds}
 
-    order = _assignment_order(pred, adj_p)
+    order = connected_order(neighbours(pred), lambda i: (-len(adj_p[i]), i))
     mapping = [-2] * n_pred  # -2 unassigned, -1 delete, >= 0 ref index
     ref_owner = [-1] * n_ref
     rem_p = Counter(labels_p)
@@ -310,21 +310,6 @@ def _search_mapping(
 
     descend(0, 0)
     return best[0]
-
-
-def _assignment_order(pred: MolGraph, adj_p) -> list[int]:
-    order: list[int] = []
-    placed = [False] * pred.n_atoms
-    while len(order) < pred.n_atoms:
-        frontier = [
-            i for i in range(pred.n_atoms)
-            if not placed[i] and any(placed[b.other(i)] for b in adj_p[i])
-        ]
-        pool = frontier or [i for i in range(pred.n_atoms) if not placed[i]]
-        pick = max(pool, key=lambda i: (len(adj_p[i]), -i))
-        placed[pick] = True
-        order.append(pick)
-    return order
 
 
 def _script_from_mapping(
@@ -464,15 +449,18 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
 
     cells: dict[int, tuple[int, int]] = {}
     occupied: set[tuple[int, int]] = set()
-    steps = [0]
-    component_base = 0
-
-    def place(k: int) -> bool:
-        steps[0] += 1
-        if steps[0] > 20000:
+    steps = 0
+    # depth-first search; tries[k] iterates the cells left to try for
+    # order[k].  Each descent counts one step against the budget, the one
+    # that finds every atom placed included.
+    tries: list = []
+    k = 0
+    while True:
+        steps += 1
+        if steps > 20000:
             raise LayoutError("placement search budget exhausted")
         if k == len(order):
-            return True
+            break
         atom = order[k]
         parent = parents[k]
         if parent is None:
@@ -495,19 +483,22 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
                 choices.sort(key=lambda cell: -sum(
                     1 for mate in placed_mates if _axial_adjacent(cell, mate)
                 ))
-        for cell in choices:
-            if cell in occupied:
+        tries.append(iter(choices))
+        while True:
+            for cell in tries[k]:
+                if cell not in occupied:
+                    break
+            else:
+                tries.pop()
+                k -= 1
+                if k < 0:
+                    raise LayoutError("no lattice embedding found")
+                occupied.discard(cells.pop(order[k]))
                 continue
-            cells[atom] = cell
-            occupied.add(cell)
-            if place(k + 1):
-                return True
-            occupied.discard(cell)
-            del cells[atom]
-        return False
-
-    if not place(0):
-        raise LayoutError("no lattice embedding found")
+            break
+        cells[order[k]] = cell
+        occupied.add(cell)
+        k += 1
     return [_axial_to_pixel(*cells[i]) for i in range(n)]
 
 

@@ -172,23 +172,32 @@ def average_precision(detections, references, iou_threshold: float) -> float:
     if not references:
         raise MetricsError("average_precision needs at least one reference box")
     ranked = sorted(range(len(detections)), key=lambda k: (-detections[k].score, k))
-    matched: set[int] = set()
+    flags = _match_flags(
+        [(0, detections[k].box) for k in ranked], {0: references}, iou_threshold
+    )
+    return _ap_from_flags(flags, len(references))
+
+
+def _match_flags(ranked, refs_by_image: dict, iou_threshold: float) -> list[bool]:
+    """Greedy matching of ranked (image, box) detections, each to the unmatched
+    reference box of its own image with the highest IoU; True per match."""
+    matched: dict = {image: set() for image in refs_by_image}
     flags: list[bool] = []
-    for k in ranked:
-        box = detections[k].box
+    for image, box in ranked:
+        taken = matched[image]
         best_iou, best_j = 0.0, -1
-        for j, ref in enumerate(references):
-            if j in matched:
+        for j, ref_box in enumerate(refs_by_image[image]):
+            if j in taken:
                 continue
-            overlap = iou(box, ref)
+            overlap = iou(box, ref_box)
             if overlap > best_iou:
                 best_iou, best_j = overlap, j
         if best_j >= 0 and best_iou >= iou_threshold:
-            matched.add(best_j)
+            taken.add(best_j)
             flags.append(True)
         else:
             flags.append(False)
-    return _ap_from_flags(flags, len(references))
+    return flags
 
 
 def _ap_from_flags(flags: list[bool], n_ref: int) -> float:
@@ -249,25 +258,10 @@ def mean_average_precision(
                 if det.class_id == class_id:
                     pooled.append((-det.score, image_order, det_index, image_id, det.box))
         pooled.sort(key=lambda item: item[:3])
-
-        threshold_aps = []
-        for threshold in thresholds:
-            matched: dict[str, set[int]] = {img: set() for img in image_ids}
-            flags = []
-            for _, _, _, image_id, box in pooled:
-                taken = matched[image_id]
-                best_iou, best_j = 0.0, -1
-                for j, ref_box in enumerate(refs_by_image[image_id]):
-                    if j in taken:
-                        continue
-                    overlap = iou(box, ref_box)
-                    if overlap > best_iou:
-                        best_iou, best_j = overlap, j
-                if best_j >= 0 and best_iou >= threshold:
-                    taken.add(best_j)
-                    flags.append(True)
-                else:
-                    flags.append(False)
-            threshold_aps.append(_ap_from_flags(flags, n_ref))
+        ranked = [(image_id, box) for *_, image_id, box in pooled]
+        threshold_aps = [
+            _ap_from_flags(_match_flags(ranked, refs_by_image, threshold), n_ref)
+            for threshold in thresholds
+        ]
         class_means.append(sum(threshold_aps) / len(threshold_aps))
     return sum(class_means) / len(class_means)

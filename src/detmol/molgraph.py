@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .entities import BBox
 
@@ -150,35 +150,11 @@ def match_order(order: str, strict_stereo: bool = False) -> str:
     return _MATCH_ORDER.get(order, order)
 
 
-def load_valence_table(path: str | Path) -> dict[str, tuple[int, ...]]:
-    """Read `element valence [valence ...]` lines; '#' starts a comment."""
-    table: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) < 2:
-            raise ValenceConfigError(f"line {lineno}: expected element and valences")
-        element = parts[0]
-        try:
-            valences = tuple(sorted(int(p) for p in parts[1:]))
-        except ValueError:
-            raise ValenceConfigError(f"line {lineno}: non-integer valence") from None
-        if any(v < 0 for v in valences):
-            raise ValenceConfigError(f"line {lineno}: negative valence")
-        table[element] = valences
-    return table
-
-
-def allowed_valences(
-    element: str, charge: int, table: dict[str, tuple[int, ...]] | None = None
-) -> tuple[int, ...] | None:
+def allowed_valences(element: str, charge: int) -> tuple[int, ...] | None:
     """Charge-adjusted valence list; None means unconstrained (wildcard)."""
     if element == WILDCARD:
         return None
-    table = DEFAULT_VALENCES if table is None else table
-    base = table.get(element)
+    base = DEFAULT_VALENCES.get(element)
     if base is None:
         raise ValenceConfigError(f"no valence entry for element {element!r}")
     if charge > 0 and element in _CATION_ADJUSTED:
@@ -195,15 +171,13 @@ def bond_order_sum(graph: MolGraph, index: int) -> float:
     )
 
 
-def detect_problems(
-    graph: MolGraph, table: dict[str, tuple[int, ...]] | None = None
-) -> list[ChemProblem]:
+def detect_problems(graph: MolGraph) -> list[ChemProblem]:
     """Valence and aromaticity violations, one entry per offending atom."""
     problems: list[ChemProblem] = []
     adj = graph.adjacency()
     for i, atom in enumerate(graph.atoms):
         order_sum = sum(ORDER_VALUE[b.order] for b in adj[i])
-        valences = allowed_valences(atom.element, atom.formal_charge, table)
+        valences = allowed_valences(atom.element, atom.formal_charge)
         if valences is not None:
             max_allowed = max(valences) if valences else 0
             if math.ceil(order_sum) > max_allowed:
@@ -227,33 +201,27 @@ def _removal_candidate(graph: MolGraph, problem: ChemProblem) -> int:
     return min(candidates, key=lambda kb: (kb[1].score, -ORDER_VALUE[kb[1].order], kb[0]))[0]
 
 
-def repair(
-    graph: MolGraph,
-    table: dict[str, tuple[int, ...]] | None = None,
-    max_iterations: int = 10,
-) -> MolGraph:
+def repair(graph: MolGraph, max_iterations: int = 10) -> MolGraph:
     """Delete bonds until detect_problems is empty; atoms are never touched."""
     current = graph
     for _ in range(max_iterations):
-        problems = detect_problems(current, table)
+        problems = detect_problems(current)
         if not problems:
             return current
         drop = _removal_candidate(current, problems[0])
         bonds = current.bonds[:drop] + current.bonds[drop + 1:]
         current = MolGraph(current.atoms, bonds)
-    if detect_problems(current, table):
+    if detect_problems(current):
         raise RepairError(
             f"repair did not converge within {max_iterations} iterations", current
         )
     return current
 
 
-def implicit_hydrogens(
-    graph: MolGraph, index: int, table: dict[str, tuple[int, ...]] | None = None
-) -> int:
+def implicit_hydrogens(graph: MolGraph, index: int) -> int:
     """Hydrogens implied by the smallest allowed valence >= the bond sum."""
     atom = graph.atoms[index]
-    valences = allowed_valences(atom.element, atom.formal_charge, table)
+    valences = allowed_valences(atom.element, atom.formal_charge)
     if valences is None:
         return 0
     occupied = math.ceil(bond_order_sum(graph, index))
@@ -262,50 +230,72 @@ def implicit_hydrogens(
     return max(0, target - occupied)
 
 
-def _bond_codes(graph: MolGraph, strict_stereo: bool) -> dict[tuple[int, int], str]:
-    return {b.pair: match_order(b.order, strict_stereo) for b in graph.bonds}
+def neighbours(graph: MolGraph, strict_stereo: bool = False) -> list[list[tuple[int, str]]]:
+    """Per atom, its (neighbour, bond label) pairs; labels as in match_order."""
+    nbrs: list[list[tuple[int, str]]] = [[] for _ in graph.atoms]
+    for b in graph.bonds:
+        code = match_order(b.order, strict_stereo)
+        nbrs[b.u].append((b.v, code))
+        nbrs[b.v].append((b.u, code))
+    return nbrs
 
 
-def _refine_colors(
-    graphs: list[MolGraph], strict_stereo: bool = False
-) -> list[list[int]]:
-    """Joint neighborhood refinement; colors are comparable across graphs."""
-    adjacencies = [g.adjacency() for g in graphs]
-    keys: list[list[object]] = []
-    for g, adj in zip(graphs, adjacencies):
-        keys.append([
-            (
-                atom.element,
-                atom.formal_charge,
-                len(adj[i]),
-                math.ceil(sum(ORDER_VALUE[b.order] for b in adj[i])),
-            )
-            for i, atom in enumerate(g.atoms)
-        ])
-    colors = _rank_keys(keys)
+def atom_invariants(graph: MolGraph, nbrs: list[list[tuple[int, str]]]) -> list[tuple]:
+    """Initial colour keys: element, charge, degree, ceil of bond-order sum."""
+    return [
+        (
+            atom.element,
+            atom.formal_charge,
+            len(row),
+            math.ceil(sum(ORDER_VALUE[code] for _, code in row)),
+        )
+        for atom, row in zip(graph.atoms, nbrs)
+    ]
+
+
+def dense_rank(keys: list) -> list[int]:
+    """Each key's position among the distinct keys in sorted order."""
+    index = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [index[k] for k in keys]
+
+
+def refine(nbrs: list[list[tuple[int, str]]], colors: list[int]) -> list[int]:
+    """Colour refinement (1-dimensional Weisfeiler-Lehman) to the stable
+    colouring: classes split by their multisets of (bond label, neighbour
+    colour) until none splits.  `colors` must be dense ranks; the result is."""
     while True:
-        new_keys = []
-        for gi, (g, adj) in enumerate(zip(graphs, adjacencies)):
-            new_keys.append([
-                (
-                    colors[gi][i],
-                    tuple(sorted(
-                        (match_order(b.order, strict_stereo), colors[gi][b.other(i)])
-                        for b in adj[i]
-                    )),
-                )
-                for i in range(g.n_atoms)
-            ])
-        new_colors = _rank_keys(new_keys)
-        if new_colors == colors:
+        new = dense_rank([
+            (colors[i], tuple(sorted((code, colors[j]) for j, code in row)))
+            for i, row in enumerate(nbrs)
+        ])
+        if new == colors:
             return colors
-        colors = new_colors
+        colors = new
 
 
-def _rank_keys(keys: list[list[object]]) -> list[list[int]]:
-    universe = sorted({k for group in keys for k in group})
-    index = {k: i for i, k in enumerate(universe)}
-    return [[index[k] for k in group] for group in keys]
+def connected_order(nbrs: list[list[tuple[int, str]]], key) -> list[int]:
+    """All atoms, each chosen to touch an earlier one whenever some unchosen
+    atom does; among the candidates, the smallest `key(i)` goes first.
+
+    `key` must tell all atoms apart (end it with `i`)."""
+    n = len(nbrs)
+    by_key = iter(sorted(range(n), key=key))
+    placed = [False] * n
+    seen = [False] * n
+    frontier: list[tuple] = []
+    order: list[int] = []
+    while len(order) < n:
+        if frontier:
+            i = heapq.heappop(frontier)[1]
+        else:
+            i = next(j for j in by_key if not placed[j])
+        placed[i] = seen[i] = True
+        order.append(i)
+        for j, _ in nbrs[i]:
+            if not seen[j]:
+                seen[j] = True
+                heapq.heappush(frontier, (key(j), j))
+    return order
 
 
 def isomorphic(a: MolGraph, b: MolGraph, strict_stereo: bool = False) -> bool:
@@ -317,60 +307,51 @@ def isomorphic(a: MolGraph, b: MolGraph, strict_stereo: bool = False) -> bool:
     """
     if a.n_atoms != b.n_atoms or len(a.bonds) != len(b.bonds):
         return False
-    if a.n_atoms == 0:
+    n = a.n_atoms
+    if n == 0:
         return True
-    colors_a, colors_b = _refine_colors([a, b], strict_stereo)
+    nbrs_a = neighbours(a, strict_stereo)
+    nbrs_b = neighbours(b, strict_stereo)
+    # refining the disjoint union makes colours comparable across a and b
+    union = nbrs_a + [[(j + n, code) for j, code in row] for row in nbrs_b]
+    colors = refine(
+        union, dense_rank(atom_invariants(a, nbrs_a) + atom_invariants(b, nbrs_b))
+    )
+    colors_a, colors_b = colors[:n], colors[n:]
     if sorted(colors_a) != sorted(colors_b):
         return False
 
-    adj_a = a.adjacency()
-    codes_a = _bond_codes(a, strict_stereo)
-    codes_b = _bond_codes(b, strict_stereo)
     by_color_b: dict[int, list[int]] = {}
     for j, c in enumerate(colors_b):
         by_color_b.setdefault(c, []).append(j)
+    candidates = [by_color_b[c] for c in colors_a]
+    # each atom touches the already-mapped prefix when possible, so
+    # mismatches surface early
+    order = connected_order(nbrs_a, lambda i: (len(candidates[i]), i))
+    bonds_b = [dict(row) for row in nbrs_b]
 
-    # Order atoms of `a` so each one touches the already-mapped prefix when
-    # possible; mismatches then surface early.
-    order: list[int] = []
-    placed = [False] * a.n_atoms
-    while len(order) < a.n_atoms:
-        frontier = [
-            i for i in range(a.n_atoms)
-            if not placed[i] and any(placed[b_.other(i)] for b_ in adj_a[i])
-        ]
-        pick = min(
-            frontier or [i for i in range(a.n_atoms) if not placed[i]],
-            key=lambda i: (len(by_color_b[colors_a[i]]), i),
-        )
-        placed[pick] = True
-        order.append(pick)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        i = order[depth]
-        for j in by_color_b[colors_a[i]]:
-            if j in used:
-                continue
-            ok = True
-            for bond in adj_a[i]:
-                k = bond.other(i)
-                if k in mapping:
-                    code = codes_b.get(tuple(sorted((j, mapping[k]))))
-                    if code != codes_a[bond.pair]:
-                        ok = False
-                        break
-            if ok:
+    # depth-first search; tries[d] iterates the untried images of order[d]
+    mapping = [-1] * n
+    used = [False] * n
+    tries = [iter(candidates[order[0]])]
+    while tries:
+        i = order[len(tries) - 1]
+        if mapping[i] >= 0:
+            used[mapping[i]] = False
+            mapping[i] = -1
+        for j in tries[-1]:
+            held = bonds_b[j]
+            if not used[j] and all(
+                mapping[k] < 0 or held.get(mapping[k]) == code
+                for k, code in nbrs_a[i]
+            ):
                 mapping[i] = j
-                used.add(j)
-                if extend(depth + 1):
-                    return True
-                del mapping[i]
-                used.discard(j)
-        return False
-
-    return extend(0)
+                used[j] = True
+                break
+        else:
+            tries.pop()
+            continue
+        if len(tries) == n:
+            return True
+        tries.append(iter(candidates[order[len(tries)]]))
+    return False

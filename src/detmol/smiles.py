@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import math
 import re
-import sys
 
 from .entities import ATOM_CLASSES
-from .molgraph import Atom, Bond, MolGraph, ORDER_VALUE, match_order
+from .molgraph import (
+    Atom, Bond, MolGraph, atom_invariants, dense_rank, match_order, neighbours,
+    refine,
+)
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "S", "P", "F", "I")
 AROMATIC_LETTERS = {"b": "B", "c": "C", "n": "N", "o": "O", "s": "S", "p": "P"}
@@ -228,12 +229,6 @@ def parse(text: str) -> MolGraph:
     return _Parser(text).run()
 
 
-def _rank_dense(keys: list) -> list[int]:
-    order = sorted(set(keys))
-    index = {k: i for i, k in enumerate(order)}
-    return [index[k] for k in keys]
-
-
 def canonical_ranks(graph: MolGraph) -> dict[int, int]:
     """Stable atom ranks: neighborhood refinement plus tie individualization.
 
@@ -244,64 +239,39 @@ def canonical_ranks(graph: MolGraph) -> dict[int, int]:
     n = graph.n_atoms
     if n == 0:
         return {}
-    adj = graph.adjacency()
+    nbrs = neighbours(graph)
     labels = [(a.element, a.formal_charge) for a in graph.atoms]
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            keys = [
-                (
-                    colors[i],
-                    tuple(sorted(
-                        (match_order(b.order), colors[b.other(i)]) for b in adj[i]
-                    )),
-                )
-                for i in range(n)
-            ]
-            new = _rank_dense(keys)
-            if new == colors:
-                return colors
-            colors = new
+    edges = [(b.u, b.v, match_order(b.order)) for b in graph.bonds]
 
     def certificate(colors: list[int]) -> tuple:
         atom_part = tuple(lab for _, lab in sorted(zip(colors, labels)))
         edge_part = tuple(sorted(
-            (min(colors[b.u], colors[b.v]), max(colors[b.u], colors[b.v]),
-             match_order(b.order))
-            for b in graph.bonds
+            (min(colors[u], colors[v]), max(colors[u], colors[v]), code)
+            for u, v, code in edges
         ))
         return (atom_part, edge_part)
 
-    initial = [
-        (
-            labels[i],
-            len(adj[i]),
-            math.ceil(sum(ORDER_VALUE[b.order] for b in adj[i])),
-        )
-        for i in range(n)
-    ]
-    best: list[tuple] = [()]
-    best_colors: list[list[int] | None] = [None]
-
-    def search(colors: list[int]) -> None:
+    best_cert: tuple = ()
+    best: list[int] | None = None
+    # depth-first search of the individualization tree; children are pushed
+    # in reverse so they pop in member order and the first minimal leaf wins
+    pending = [refine(nbrs, dense_rank(atom_invariants(graph, nbrs)))]
+    while pending:
+        colors = pending.pop()
         classes: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             classes.setdefault(c, []).append(i)
-        tied = sorted(c for c, members in classes.items() if len(members) > 1)
+        tied = [c for c, members in classes.items() if len(members) > 1]
         if not tied:
             cert = certificate(colors)
-            if best_colors[0] is None or cert < best[0]:
-                best[0] = cert
-                best_colors[0] = colors
-            return
-        for member in classes[tied[0]]:
-            split = refine(_rank_dense([
-                (colors[i], i != member) for i in range(n)
-            ]))
-            search(split)
-
-    search(refine(_rank_dense(initial)))
-    return {i: r for i, r in enumerate(best_colors[0])}
+            if best is None or cert < best_cert:
+                best_cert, best = cert, colors
+            continue
+        pending.extend(reversed([
+            refine(nbrs, dense_rank([(colors[i], i != member) for i in range(n)]))
+            for member in classes[min(tied)]
+        ]))
+    return dict(enumerate(best))
 
 
 def _is_aromatic_atom(adj_row: list[Bond]) -> bool:
@@ -338,8 +308,6 @@ def write(graph: MolGraph) -> str:
     n = graph.n_atoms
     if n == 0:
         return ""
-    if n * 4 + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(n * 4 + 100)
     ranks = canonical_ranks(graph)
     adj = graph.adjacency()
     aromatic = [_is_aromatic_atom(adj[i]) for i in range(n)]
@@ -352,31 +320,39 @@ def write(graph: MolGraph) -> str:
             return "" if aromatic[bond.u] and aromatic[bond.v] else ":"
         return {"double": "=", "triple": "#"}[order]
 
+    def by_rank(node: int) -> list[Bond]:
+        return sorted(adj[node], key=lambda b: ranks[b.other(node)])
+
+    # depth-first spanning forest; a frame is (atom, bond it was reached by,
+    # its bonds not yet looked at, in rank order)
     visited = [False] * n
-    children: dict[int, list[tuple[int, Bond]]] = {}
-    closures: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(n)}
+    children: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+    closures: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
     back_pairs: set[tuple[int, int]] = set()
     component_roots: list[int] = []
-
-    def dfs(node: int, via: Bond | None) -> None:
-        visited[node] = True
-        children[node] = []
-        for bond in sorted(adj[node], key=lambda b: ranks[b.other(node)]):
-            other = bond.other(node)
-            if bond is via:
-                continue
-            if not visited[other]:
-                children[node].append((other, bond))
-                dfs(other, bond)
-            elif bond.pair not in back_pairs:
-                back_pairs.add(bond.pair)
-                closures[node].append((other, bond))
-                closures[other].append((node, bond))
-
     for root in sorted(range(n), key=lambda i: ranks[i]):
-        if not visited[root]:
-            component_roots.append(root)
-            dfs(root, None)
+        if visited[root]:
+            continue
+        component_roots.append(root)
+        visited[root] = True
+        stack = [(root, None, iter(by_rank(root)))]
+        while stack:
+            node, via, rest = stack[-1]
+            for bond in rest:
+                other = bond.other(node)
+                if bond is via:
+                    continue
+                if not visited[other]:
+                    visited[other] = True
+                    children[node].append((other, bond))
+                    stack.append((other, bond, iter(by_rank(other))))
+                    break
+                if bond.pair not in back_pairs:
+                    back_pairs.add(bond.pair)
+                    closures[node].append((other, bond))
+                    closures[other].append((node, bond))
+            else:
+                stack.pop()
 
     marker_of: dict[tuple[int, int], int] = {}
     free = list(range(1, 100))
@@ -385,30 +361,34 @@ def write(graph: MolGraph) -> str:
     def digit_token(number: int) -> str:
         return str(number) if number < 10 else f"%{number:02d}"
 
-    def emit(node: int) -> None:
-        emitted.append(_atom_token(graph.atoms[node], aromatic[node]))
-        for other, bond in sorted(closures[node], key=lambda ob: ranks[ob[0]]):
-            if bond.pair not in marker_of:
-                if not free:
-                    raise ValueError("more than 99 concurrent ring closures")
-                marker_of[bond.pair] = free.pop(0)
-                emitted.append(bond_symbol(bond) + digit_token(marker_of[bond.pair]))
-            else:
-                number = marker_of.pop(bond.pair)
-                free.append(number)
-                free.sort()
-                emitted.append(digit_token(number))
-        kids = children[node]
-        for other, bond in kids[:-1]:
-            emitted.append("(" + bond_symbol(bond))
-            emit(other)
-            emitted.append(")")
-        for other, bond in kids[-1:]:
-            emitted.append(bond_symbol(bond))
-            emit(other)
-
     for k, root in enumerate(component_roots):
         if k:
             emitted.append(".")
-        emit(root)
+        # pending output in reverse: an int is an atom still to emit with its
+        # subtree, a str is literal text
+        work: list[int | str] = [root]
+        while work:
+            node = work.pop()
+            if isinstance(node, str):
+                emitted.append(node)
+                continue
+            emitted.append(_atom_token(graph.atoms[node], aromatic[node]))
+            for other, bond in sorted(closures[node], key=lambda ob: ranks[ob[0]]):
+                if bond.pair not in marker_of:
+                    if not free:
+                        raise ValueError("more than 99 concurrent ring closures")
+                    marker_of[bond.pair] = free.pop(0)
+                    emitted.append(bond_symbol(bond) + digit_token(marker_of[bond.pair]))
+                else:
+                    number = marker_of.pop(bond.pair)
+                    free.append(number)
+                    free.sort()
+                    emitted.append(digit_token(number))
+            kids = children[node]
+            subtree: list[int | str] = []
+            for other, bond in kids[:-1]:
+                subtree += ["(" + bond_symbol(bond), other, ")"]
+            for other, bond in kids[-1:]:
+                subtree += [bond_symbol(bond), other]
+            work.extend(reversed(subtree))
     return "".join(emitted)

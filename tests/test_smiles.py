@@ -1,10 +1,95 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import detmol
 from detmol import Atom, Bond, MolGraph, SmilesError, isomorphic, parse, write
 from conftest import permute_graph, random_molecule
+
+# Canonical output pinned on symmetric, disconnected and aromatic inputs:
+# a change to the refinement or to the search order shows up here.
+GOLDEN_WRITE = [
+    ('O.O.O', 'O.O.O'),
+    ('O.O.O.O.O.O', 'O.O.O.O.O.O'),
+    ('CC(=O)[O-].[NH4+]', 'CC([O-])=O.[N+]'),
+    ('C[N+](C)(C)C.[Cl-]', 'C[N+](C)(C)C.[Cl-]'),
+    ('CC(C)(C)C', 'CC(C)(C)C'),
+    ('FC(F)(F)c1ccccc1', 'c1ccc(cc1)C(F)(F)F'),
+    ('FC(F)(F)C(F)(F)F', 'C(C(F)(F)F)(F)(F)F'),
+    ('CC(C)(C)c1ccc(cc1)C(C)(C)C', 'CC(C)(C)c1ccc(cc1)C(C)(C)C'),
+    ('c1ccccc1', 'c1ccccc1'),
+    ('c1ccccc1.c1ccccc1', 'c1ccccc1.c1ccccc1'),
+    ('C1CC1.C1CC1', 'C1CC1.C1CC1'),
+    ('C1CCCCC1', 'C1CCCCC1'),
+    ('OC(=O)C(F)(F)F', 'C(C(F)(F)F)(O)=O'),
+    ('[Br-].[Br-].C[N+](C)(C)CC[N+](C)(C)C', '[Br-].[Br-].C[N+](C)(C)CC[N+](C)(C)C'),
+    ('Oc1ccc(O)cc1', 'c1cc(ccc1O)O'),
+    ('ClC(Cl)(Cl)Cl', 'C(Cl)(Cl)(Cl)Cl'),
+    ('NC(N)=O.O', 'C(N)(N)=O.O'),
+    ('FC(F)(F)C(O)(C(F)(F)F)C(F)(F)F', 'C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)O'),
+    ('C1CC2CCC1CC2', 'C1CC2CCC1CC2'),
+    ('[O-]S(=O)(=O)[O-].[NH4+].[NH4+]', '[N+].[N+].[O-]S([O-])(=O)=O'),
+    ('CC.CC.CC', 'CC.CC.CC'),
+    ('Cc1ccccc1C', 'Cc1ccccc1C'),
+]
+
+# write(random_molecule(random.Random(seed))) for seed 0, 1, ...
+GOLDEN_RANDOM = [
+    'CN1C=C1O[Sn]CI',
+    'CCNI',
+    'Cc1ccc(cc1)O',
+    'CCS[Si]C',
+    'C=Cc1cc(cc(c1[3H])F)S',
+    '*(c1c(C)cccc1O[N+])=N',
+    'CC(C(CNC)[Si](N)[Sn]#N)[2H]',
+    '[Al](=C(C1C#C1)F)Cl',
+    'CSCCS',
+    'CCC(C(=C)I)[N+](C)S',
+    'Cc1c2ccc(C[Se]2N)c1S',
+    '*=CB(C(C)C#CB)I',
+    '*c1cc(ccc1S)[Se]',
+    'c1ccccc1',
+    '*(N)N',
+    'CNCc1cc(ccc1N)S',
+    'BrN(I)OONC',
+    '[2H]S(I)(=O)=O',
+    'Cc1ccc(cc1C)[O-]',
+    'Cc1cc(cc(c1[Te]=N)NC)F',
+    'CC(C[Te])C(=C(OC)[Si](C)N)N',
+    'IN(N)[Si]',
+    'C1c2cc(c(c(c2)O1)I)Cl',
+    '*=C(CC)C=C',
+    '[As]C=C(C)CNC[Sn]',
+    'COC1(C[Ge]C#C1)F',
+    'Cl[2H]',
+    '*ON(N=NI)N(C)C(OC)=[Se]',
+    'C=C[2H]',
+    'Cc1ccc(c(C)c1N)O',
+    'B(=C)C#CS(N)=NC(Cl)[N+]',
+    'CF',
+    'CCO',
+    '*(c1c(ccc(C)c1C)[H])[Te]',
+    'CC1C(C(=[Ge]=O)SOS1)=O',
+    '*N=Cc1ccc(C)cc1',
+    'C1c2ccc1cc2',
+    '*C1(C(C)Cl)C([Ge]1(C)S)N([Al])F',
+    '[Al]1=C(CCl)S1(C(=C)[O-])N(C[H])Cl',
+    'c1cc-2cc2c1',
+    '*(Br)(CC)(CO)(O[Ge])=P',
+    'Cc1cccc(c1)N',
+    'Cc1cc(C=C)c(c(c1)[2H])N[2H]',
+    'Cc1ccc(C)c(c1)C(C[3H])S',
+    'CC(=C([Ge]S)OC)O',
+    'C#CNN=C=N',
+    'C=C[Te]',
+    'c1ccc(cc1)[3H]',
+    '[Al]c1ccc(C)c(c1[H])Cl',
+    'c1ccccc1',
+]
 
 
 class TestParseBasics:
@@ -208,6 +293,35 @@ class TestWriter:
         assert write(MolGraph((Atom("S", 2),), ())) == "[S+2]"
         assert write(MolGraph((Atom("O", -2),), ())) == "[O-2]"
         assert write(MolGraph((Atom("Sn"),), ())) == "[Sn]"
+
+    def test_golden_strings(self):
+        rng = random.Random(5)
+        for text, expected in GOLDEN_WRITE:
+            g = parse(text)
+            assert write(g) == expected, text
+            assert write(permute_graph(rng, g)[0]) == expected, text
+        for seed, expected in enumerate(GOLDEN_RANDOM):
+            assert write(random_molecule(random.Random(seed))) == expected, seed
+
+    def test_long_chain_within_a_low_recursion_limit(self):
+        # a fresh interpreter, so no earlier call can have raised the limit
+        script = (
+            "import sys\n"
+            "from detmol import canonical_ranks, isomorphic, parse, plant_errors, write\n"
+            "sys.setrecursionlimit(250)\n"
+            "g = parse('C' * 300)\n"
+            "assert write(g) == 'C' * 300\n"
+            "assert sorted(canonical_ranks(g).values()) == list(range(300))\n"
+            "assert isomorphic(g, g)\n"
+            "plant_errors(g, 0, 1)\n"
+            "assert sys.getrecursionlimit() == 250\n"
+        )
+        src = str(Path(detmol.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={"PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_many_rings_use_percent_markers(self):
         # a wheel with 11 spokes plus rim closures forces ring ids >= 10
