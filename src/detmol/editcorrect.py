@@ -171,10 +171,14 @@ def _histogram_gap(a: list, b: list) -> int:
 def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | None:
     """Minimum-cost edit script turning pred into ref, within the budget.
 
-    The search is exact: branch and bound over partial atom assignments with
-    admissible lower bounds from label histogram and bond count mismatches.
-    With k_max 0 this degenerates to an isomorphism test.  Returns None when
-    no script of cost <= k_max exists.
+    The search is exact, over partial atom assignments, with admissible lower
+    bounds from label histogram and bond count mismatches.  Budgets rise one
+    at a time from the histogram lower bound to k_max; each is a depth-first
+    search that stops at its first assignment within the budget, so the first
+    budget that has one yields the minimum cost, and the script is the one
+    for the first such assignment in search order.  With k_max 0 this
+    degenerates to an isomorphism test.  Returns None when no script of cost
+    <= k_max exists.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -192,8 +196,16 @@ def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | 
 
 
 def _search_mapping(
-    pred: MolGraph, ref: MolGraph, budget: int
+    pred: MolGraph, ref: MolGraph, k_max: int
 ) -> tuple[int, list[int]] | None:
+    """The first atom assignment, in search order, of least cost <= k_max.
+
+    Budgets rise from the histogram lower bound to k_max.  Each budget is a
+    depth-first search, on an explicit stack, that stops at its first
+    complete assignment of total cost <= budget.  Pruning is admissible, so
+    no such assignment is cut, and the first hit at the least feasible budget
+    is the first minimum-cost assignment in search order.
+    """
     labels_p, labels_r = _labels(pred), _labels(ref)
     orders_p = [match_order(b.order) for b in pred.bonds]
     orders_r = [match_order(b.order) for b in ref.bonds]
@@ -202,27 +214,36 @@ def _search_mapping(
         abs(len(orders_p) - len(orders_r)),
         _histogram_gap(orders_p, orders_r),
     )
-    if lower > budget:
+    if lower > k_max:
         return None
 
     n_pred, n_ref = pred.n_atoms, ref.n_atoms
-    adj_p = pred.adjacency()
-    adj_r = ref.adjacency()
-    pred_pairs = {b.pair: match_order(b.order) for b in pred.bonds}
-    ref_pairs = {b.pair: match_order(b.order) for b in ref.bonds}
+    nbrs_p = neighbours(pred)
+    rows_p = [dict(row) for row in nbrs_p]  # {neighbour: bond label}
+    rows_r = [dict(row) for row in neighbours(ref)]
+    ref_pairs = [b.pair for b in ref.bonds]
+    ids = {label: k for k, label in enumerate(dict.fromkeys(labels_p + labels_r))}
+    lab_p = [ids[x] for x in labels_p]
+    lab_r = [ids[x] for x in labels_r]
+    # label counts of the atoms not yet assigned, and their overlap
+    rem_p = [0] * len(ids)
+    rem_r = [0] * len(ids)
+    for x in lab_p:
+        rem_p[x] += 1
+    for x in lab_r:
+        rem_r[x] += 1
+    overlap = sum(map(min, rem_p, rem_r))
+    free_r = n_ref
 
-    order = connected_order(neighbours(pred), lambda i: (-len(adj_p[i]), i))
+    order = connected_order(nbrs_p, lambda i: (-len(nbrs_p[i]), i))
     mapping = [-2] * n_pred  # -2 unassigned, -1 delete, >= 0 ref index
     ref_owner = [-1] * n_ref
-    rem_p = Counter(labels_p)
-    rem_r = Counter(labels_r)
-    best: list[tuple[int, list[int]] | None] = [None]
-
-    def heuristic() -> int:
-        total_p = sum(rem_p.values())
-        total_r = sum(rem_r.values())
-        overlap = sum((rem_p & rem_r).values())
-        return max(total_p, total_r) - overlap
+    # per depth: cost so far, next child to try (n_ref means delete), and
+    # the (ref image, bond label) of each assigned neighbour with the count
+    # of deleted ones
+    cost_at = [0] * n_pred
+    next_at = [0] * n_pred
+    fixed_at: list[tuple[list[tuple[int, str]], int]] = [([], 0)] * n_pred
 
     def completion_cost() -> int:
         missing = [s for s in range(n_ref) if ref_owner[s] < 0]
@@ -242,8 +263,7 @@ def _search_mapping(
             seen.add(s)
             while stack:
                 node = stack.pop()
-                for bond in adj_r[node]:
-                    other = bond.other(node)
+                for other in rows_r[node]:
                     if other in missing_set:
                         if other not in seen:
                             seen.add(other)
@@ -254,62 +274,92 @@ def _search_mapping(
                 islands += 1
         return len(missing) + incident - (len(missing) - islands)
 
-    def bound() -> int:
-        if best[0] is None:
-            return budget
-        return min(budget, best[0][0] - 1)
-
-    def descend(depth: int, cost: int) -> None:
-        if cost + heuristic() > bound():
-            return
-        if depth == n_pred:
-            total = cost + completion_cost()
-            if total <= bound():
-                best[0] = (total, mapping.copy())
-            return
-        i = order[depth]
-        label_i = labels_p[i]
-        for r in range(n_ref):
-            if ref_owner[r] >= 0:
+    for budget in range(lower, k_max + 1):
+        if n_pred == 0:
+            total = completion_cost()
+            if total <= budget:
+                return total, []
+            continue
+        depth = 0
+        next_at[0] = 0
+        while depth >= 0:
+            i = order[depth]
+            a = lab_p[i]
+            r = mapping[i]
+            if r != -2:  # undo the child just left
+                mapping[i] = -2
+                rem_p[a] += 1
+                if rem_p[a] <= rem_r[a]:
+                    overlap += 1
+                if r >= 0:
+                    ref_owner[r] = -1
+                    free_r += 1
+                    b = lab_r[r]
+                    rem_r[b] += 1
+                    if rem_r[b] <= rem_p[b]:
+                        overlap += 1
+            placed, n_deleted = fixed_at[depth]
+            slack = budget - cost_at[depth] - n_deleted
+            row_i = rows_p[i]
+            r = next_at[depth]
+            child = -2
+            while r < n_ref:
+                if ref_owner[r] < 0:
+                    extra = a != lab_r[r]
+                    if extra <= slack:
+                        row_r = rows_r[r]
+                        for fj, code in placed:
+                            if row_r.get(fj) != code:
+                                extra += 1
+                        for s in row_r:
+                            j = ref_owner[s]
+                            if j >= 0 and j not in row_i:
+                                extra += 1
+                        if extra <= slack:
+                            child = r
+                            break
+                r += 1
+            if child == -2 and r == n_ref:
+                extra = 1 + len(placed)
+                if extra <= slack:
+                    child = -1
+            next_at[depth] = r + 1
+            if child == -2:
+                depth -= 1
                 continue
-            delta = 0 if label_i == labels_r[r] else 1
-            for bond in adj_p[i]:
-                j = bond.other(i)
+            mapping[i] = child
+            if rem_p[a] <= rem_r[a]:
+                overlap -= 1
+            rem_p[a] -= 1
+            if child >= 0:
+                ref_owner[child] = i
+                free_r -= 1
+                b = lab_r[child]
+                if rem_r[b] <= rem_p[b]:
+                    overlap -= 1
+                rem_r[b] -= 1
+            cost = cost_at[depth] + n_deleted + extra
+            left = n_pred - depth - 1
+            # the label-histogram bound on the atoms still unassigned
+            if cost + (left if left > free_r else free_r) - overlap > budget:
+                continue
+            if left == 0:
+                total = cost + completion_cost()
+                if total <= budget:
+                    return total, mapping.copy()
+                continue
+            depth += 1
+            cost_at[depth] = cost
+            next_at[depth] = 0
+            j_placed, j_deleted = [], 0
+            for j, code in nbrs_p[order[depth]]:
                 fj = mapping[j]
-                if fj == -2:
-                    continue
-                if fj == -1:
-                    delta += 1
-                else:
-                    held = ref_pairs.get((min(r, fj), max(r, fj)))
-                    if held is None or held != match_order(bond.order):
-                        delta += 1
-            for bond in adj_r[r]:
-                s = bond.other(r)
-                j = ref_owner[s]
-                if j >= 0 and (min(i, j), max(i, j)) not in pred_pairs:
-                    delta += 1
-            if cost + delta > bound():
-                continue
-            mapping[i] = r
-            ref_owner[r] = i
-            rem_p[label_i] -= 1
-            rem_r[labels_r[r]] -= 1
-            descend(depth + 1, cost + delta)
-            mapping[i] = -2
-            ref_owner[r] = -1
-            rem_p[label_i] += 1
-            rem_r[labels_r[r]] += 1
-        delta = 1 + sum(1 for b in adj_p[i] if mapping[b.other(i)] != -2)
-        if cost + delta <= bound():
-            mapping[i] = -1
-            rem_p[label_i] -= 1
-            descend(depth + 1, cost + delta)
-            mapping[i] = -2
-            rem_p[label_i] += 1
-
-    descend(0, 0)
-    return best[0]
+                if fj >= 0:
+                    j_placed.append((fj, code))
+                elif fj == -1:
+                    j_deleted += 1
+            fixed_at[depth] = (j_placed, j_deleted)
+    return None
 
 
 def _script_from_mapping(

@@ -10,6 +10,145 @@ from detmol import (
 )
 from conftest import random_molecule
 
+# (reference, planted edits, planting seed, repr of each op of the script
+# edit_correct returns at k_max 3, or None for a rejection); each repr is
+# split in two after its pair
+GOLDEN_SCRIPTS = [
+    ('FC(F)(F)c1ccccc1', 1, 1001, (
+        "EditOp(kind='insert_bond', atom_index=None, pair=(1, 4), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('CC(C)(C)O', 2, 1019, (
+        "EditOp(kind='insert_bond', atom_index=None, pair=(0, 1), "
+        "element=None, charge=0, order='single', attach_to=None)",
+        "EditOp(kind='insert_bond', atom_index=None, pair=(1, 3), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('CC(C)(C)O', 4, 1021, None),
+    ('CC(C)(C)c1ccc(O)cc1', 3, 1037, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(5, 9), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(0, 1), "
+        "element=None, charge=0, order='single', attach_to=None)",
+        "EditOp(kind='insert_bond', atom_index=None, pair=(1, 3), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('Oc1ccc(O)cc1', 1, 1052, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(2, 7), "
+        'element=None, charge=0, order=None, attach_to=None)',
+    )),
+    ('Oc1ccc(O)cc1', 4, 1055, None),
+    ('Nc1ccc(cc1)C(F)(F)F', 2, 1070, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(0, 6), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_atom', atom_index=9, pair=None, "
+        "element='F', charge=0, order=None, attach_to=None)",
+    )),
+    ('ClC(Cl)(Cl)C(F)(F)F', 3, 1088, (
+        "EditOp(kind='relabel_atom', atom_index=1, pair=None, "
+        "element='C', charge=0, order=None, attach_to=None)",
+        "EditOp(kind='relabel_atom', atom_index=2, pair=None, "
+        "element='Cl', charge=0, order=None, attach_to=None)",
+        "EditOp(kind='relabel_atom', atom_index=3, pair=None, "
+        "element='Cl', charge=0, order=None, attach_to=None)",
+    )),
+    ('ClC(Cl)(Cl)C(F)(F)F', 4, 1089, None),
+    ('FC(F)(F)C(=O)[O-].[NH4+]', 1, 1103, (
+        "EditOp(kind='relabel_atom', atom_index=5, pair=None, "
+        "element='O', charge=0, order=None, attach_to=None)",
+    )),
+    ('C[N+](C)(C)C.[Cl-]', 2, 1121, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(2, 3), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='insert_bond', atom_index=None, pair=(0, 1), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('C[N+](C)(C)C.[Cl-]', 4, 1123, None),
+    ('CC(C)(C)[NH3+].[Cl-]', 3, 1139, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(2, 4), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='insert_bond', atom_index=None, pair=(1, 2), "
+        "element=None, charge=0, order='single', attach_to=None)",
+        "EditOp(kind='insert_bond', atom_index=None, pair=(0, 1), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('O.O.O.O.O.O', 1, 1154, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(1, 5), "
+        'element=None, charge=0, order=None, attach_to=None)',
+    )),
+    ('O.O.O.O.O.O', 4, 1157, None),
+    ('O.O.O.O.O.[Br-].[NH4+]', 2, 1172, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(0, 3), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_atom', atom_index=2, pair=None, "
+        "element='O', charge=0, order=None, attach_to=None)",
+    )),
+    ('CC(=O)[O-].[NH4+]', 3, 1190, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(0, 4), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(1, 2), "
+        "element=None, charge=0, order='double', attach_to=None)",
+        "EditOp(kind='relabel_atom', atom_index=3, pair=None, "
+        "element='O', charge=-1, order=None, attach_to=None)",
+    )),
+    ('CC(=O)[O-].[NH4+]', 4, 1191, None),
+    ('OCC(C)(C)CO', 1, 1205, (
+        "EditOp(kind='relabel_atom', atom_index=5, pair=None, "
+        "element='C', charge=0, order=None, attach_to=None)",
+    )),
+    ('CC(=O)Oc1ccccc1C(=O)O', 2, 1223, (
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(10, 11), "
+        "element=None, charge=0, order='double', attach_to=None)",
+        "EditOp(kind='relabel_atom', atom_index=3, pair=None, "
+        "element='O', charge=0, order=None, attach_to=None)",
+    )),
+    ('CC(=O)Oc1ccccc1C(=O)O', 4, 1225, None),
+    ('CC(=O)Nc1ccc(O)cc1', 3, 1241, (
+        "EditOp(kind='relabel_atom', atom_index=8, pair=None, "
+        "element='O', charge=0, order=None, attach_to=None)",
+        "EditOp(kind='relabel_atom', atom_index=10, pair=None, "
+        "element='C', charge=0, order=None, attach_to=None)",
+        "EditOp(kind='insert_bond', atom_index=None, pair=(1, 3), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('OC(=O)c1ccccc1O', 1, 1256, (
+        "EditOp(kind='insert_bond', atom_index=None, pair=(8, 9), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('OC(=O)c1ccccc1O', 4, 1259, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(2, 4), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_atom', atom_index=7, pair=None, "
+        "element='C', charge=0, order=None, attach_to=None)",
+    )),
+    ('CNCC(O)c1ccccc1', 2, 1274, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(3, 9), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='delete_bond', atom_index=None, pair=(6, 8), "
+        'element=None, charge=0, order=None, attach_to=None)',
+    )),
+    ('NC(=O)c1cnccn1', 3, 1292, (
+        "EditOp(kind='delete_bond', atom_index=None, pair=(0, 7), "
+        'element=None, charge=0, order=None, attach_to=None)',
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(0, 1), "
+        "element=None, charge=0, order='single', attach_to=None)",
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(1, 2), "
+        "element=None, charge=0, order='double', attach_to=None)",
+    )),
+    ('NC(=O)c1cnccn1', 4, 1293, None),
+    ('CC(C)Cc1ccc(cc1)C(C)C(=O)O', 1, 1307, (
+        "EditOp(kind='relabel_atom', atom_index=6, pair=None, "
+        "element='C', charge=0, order=None, attach_to=None)",
+    )),
+    ('COc1ccccc1OCC(O)CO', 2, 1325, (
+        "EditOp(kind='relabel_bond', atom_index=None, pair=(10, 11), "
+        "element=None, charge=0, order='single', attach_to=None)",
+        "EditOp(kind='insert_bond', atom_index=None, pair=(12, 13), "
+        "element=None, charge=0, order='single', attach_to=None)",
+    )),
+    ('COc1ccccc1OCC(O)CO', 4, 1327, None),
+]
+
 
 def chain(*elements, order="single"):
     atoms = tuple(Atom(e) for e in elements)
@@ -190,6 +329,26 @@ class TestEditCorrect:
             assert found.script.cost <= 2
             assert isomorphic(apply_script(pred, found.script.ops), ref)
             assert isomorphic(found.graph, ref)
+
+    def test_golden_scripts(self):
+        for smiles, n_edits, seed, expected in GOLDEN_SCRIPTS:
+            ref = parse(smiles)
+            pred = construct(plant_errors(ref, n_edits, seed))
+            found = edit_correct(pred, ref, k_max=3)
+            got = None if found is None else tuple(repr(op) for op in found.script.ops)
+            assert got == expected, (smiles, n_edits, seed)
+
+    def test_script_does_not_depend_on_the_budget(self):
+        rng = random.Random(41)
+        for n_edits in (1, 2, 3) * 6:
+            ref = random_molecule(rng)
+            pred = construct(plant_errors(ref, n_edits, rng.randrange(10 ** 6)))
+            found = edit_correct(pred, ref, k_max=4)
+            cost = found.script.cost
+            if cost > 0:
+                assert edit_correct(pred, ref, k_max=cost - 1) is None
+            for k_max in range(cost, 5):
+                assert edit_correct(pred, ref, k_max).script == found.script
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9))

@@ -307,13 +307,16 @@ class TestWriter:
         # a fresh interpreter, so no earlier call can have raised the limit
         script = (
             "import sys\n"
-            "from detmol import canonical_ranks, isomorphic, parse, plant_errors, write\n"
+            "from detmol import (\n"
+            "    canonical_ranks, edit_correct, isomorphic, parse, plant_errors, write,\n"
+            ")\n"
             "sys.setrecursionlimit(250)\n"
             "g = parse('C' * 300)\n"
             "assert write(g) == 'C' * 300\n"
             "assert sorted(canonical_ranks(g).values()) == list(range(300))\n"
             "assert isomorphic(g, g)\n"
             "plant_errors(g, 0, 1)\n"
+            "assert edit_correct(g, g, 0).script.cost == 0\n"
             "assert sys.getrecursionlimit() == 250\n"
         )
         src = str(Path(detmol.__file__).resolve().parents[1])
