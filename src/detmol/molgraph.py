@@ -128,17 +128,6 @@ class MolGraph:
             adj[bond.v].append(bond)
         return adj
 
-    def bond_between(self, u: int, v: int) -> Bond | None:
-        if u > v:
-            u, v = v, u
-        for bond in self.bonds:
-            if bond.u == u and bond.v == v:
-                return bond
-        return None
-
-    def degree(self, index: int) -> int:
-        return sum(1 for b in self.bonds if index in b.pair)
-
 
 EMPTY_GRAPH = MolGraph((), ())
 

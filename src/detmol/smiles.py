@@ -229,12 +229,38 @@ def parse(text: str) -> MolGraph:
     return _Parser(text).run()
 
 
-def canonical_ranks(graph: MolGraph) -> dict[int, int]:
-    """Stable atom ranks: neighborhood refinement plus tie individualization.
+def _merge_orbits(roots: dict[int, int], cell: list[int], gamma: list[int]) -> None:
+    """Join the orbits of `roots` (a union-find forest whose roots are the
+    least members) along the cycles of `gamma`, which maps `cell` onto itself."""
 
-    Ranks are a permutation of 0..n-1.  Among automorphic atoms the choice is
-    made by comparing fully-refined graph certificates, so any residual
-    freedom never changes the written SMILES.
+    def find(i: int) -> int:
+        while roots[i] != i:
+            roots[i] = i = roots[roots[i]]
+        return i
+
+    for i in cell:
+        a, b = find(i), find(gamma[i])
+        if a != b:
+            roots[max(a, b)] = min(a, b)
+
+
+def canonical_ranks(graph: MolGraph) -> dict[int, int]:
+    """Stable atom ranks: colour refinement plus a search that individualises
+    tied atoms, pruned by the automorphisms it finds.
+
+    Ranks are a permutation of 0..n-1: the colours of the first leaf, in
+    depth-first order, whose certificate (atom labels and bonds read in
+    colour order) is the least.  A node's children individualise, in
+    ascending index, each member of its lowest tied colour class; a child is
+    refined only when it is visited.  A leaf whose certificate equals the
+    first leaf's or the best leaf's yields an automorphism, and the search
+    jumps back to where the two leaves' paths part (McKay & Piperno,
+    "Practical graph isomorphism II", 2014).  A child in the orbit of an
+    earlier sibling, under the automorphisms found so far that fix the
+    node's path, is skipped.  Each pruned subtree is the image of an earlier
+    one under an automorphism, so it holds no leaf with a smaller
+    certificate that comes first: the ranks are those of the exhaustive
+    search, and automorphic atoms never change the written SMILES.
     """
     n = graph.n_atoms
     if n == 0:
@@ -251,27 +277,77 @@ def canonical_ranks(graph: MolGraph) -> dict[int, int]:
         ))
         return (atom_part, edge_part)
 
-    best_cert: tuple = ()
-    best: list[int] | None = None
-    # depth-first search of the individualization tree; children are pushed
-    # in reverse so they pop in member order and the first minimal leaf wins
-    pending = [refine(nbrs, dense_rank(atom_invariants(graph, nbrs)))]
-    while pending:
-        colors = pending.pop()
-        classes: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            classes.setdefault(c, []).append(i)
-        tied = [c for c, members in classes.items() if len(members) > 1]
-        if not tied:
-            cert = certificate(colors)
-            if best is None or cert < best_cert:
-                best_cert, best = cert, colors
+    def target_cell(colors: list[int]) -> list[int]:
+        """Members of the lowest tied colour, ascending; [] at a leaf."""
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        tied = next((c for c, k in enumerate(counts) if k > 1), None)
+        return [] if tied is None else [i for i, c in enumerate(colors) if c == tied]
+
+    root = refine(nbrs, dense_rank(atom_invariants(graph, nbrs)))
+    cell = target_cell(root)
+    if not cell:
+        return dict(enumerate(root))
+    first = best = None  # (certificate, colours, path) of a leaf
+    automorphisms: list[list[int]] = []
+    # stack[d] is the node reached by individualising path[:d]; a frame is
+    # [colours, target cell, next member to try, orbit roots over the cell
+    # (each the least member of its orbit), automorphisms merged into them]
+    stack = [[root, cell, 0, None, 0]]
+    path: list[int] = []
+    while stack:
+        frame = stack[-1]
+        colors, cell, k, roots, merged = frame
+        if k:
+            if roots is None:
+                roots = frame[3] = {i: i for i in cell}
+            for gamma in automorphisms[merged:]:
+                # one that fixes the path maps the cell onto itself
+                if all(gamma[v] == v for v in path):
+                    _merge_orbits(roots, cell, gamma)
+            frame[4] = len(automorphisms)
+            # skip members whose orbit holds an earlier member, already tried
+            while k < len(cell) and roots[cell[k]] != cell[k]:
+                k += 1
+        if k == len(cell):
+            stack.pop()
+            if path:
+                path.pop()
             continue
-        pending.extend(reversed([
-            refine(nbrs, dense_rank([(colors[i], i != member) for i in range(n)]))
-            for member in classes[min(tied)]
-        ]))
-    return dict(enumerate(best))
+        frame[2] = k + 1
+        member = cell[k]
+        path.append(member)
+        child = refine(nbrs, dense_rank([(colors[i], i != member) for i in range(n)]))
+        cell = target_cell(child)
+        if cell:
+            stack.append([child, cell, 0, None, 0])
+            continue
+        cert = certificate(child)
+        ref = None
+        if first is None:
+            first = best = (cert, child, path[:])
+        elif cert == first[0]:
+            ref = first
+        elif cert == best[0]:
+            ref = best
+        elif cert < best[0]:
+            best = (cert, child, path[:])
+        if ref is None:
+            path.pop()
+            continue
+        # atom i maps to the atom that holds its colour in the reference leaf
+        atom_of = [0] * n
+        for i, c in enumerate(ref[1]):
+            atom_of[c] = i
+        automorphisms.append([atom_of[c] for c in child])
+        # jump back to the node where this path left the reference leaf's
+        split = 0
+        while path[split] == ref[2][split]:
+            split += 1
+        del stack[split + 1:]
+        del path[split:]
+    return dict(enumerate(best[1]))
 
 
 def _is_aromatic_atom(adj_row: list[Bond]) -> bool:

@@ -222,7 +222,7 @@ class TestApplyOp:
         g = chain("C", "C")
         h = apply_op(g, EditOp.insert_atom("O", attach_to=1, order="double"))
         assert h.atoms[2].element == "O"
-        assert h.bond_between(1, 2).order == "double"
+        assert {b.pair: b.order for b in h.bonds}[(1, 2)] == "double"
 
     def test_insert_atom_isolated(self):
         h = apply_op(chain("C"), EditOp.insert_atom("N", charge=1))
