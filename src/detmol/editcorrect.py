@@ -589,11 +589,51 @@ _PLAIN_ORDERS = ("single", "double", "triple")
 
 
 def _fits_valence(element: str, charge: int, order_sum: float) -> bool:
-    try:
-        valences = allowed_valences(element, charge)
-    except Exception:
-        return False
+    valences = allowed_valences(element, charge)
     return valences is None or math.ceil(order_sum) <= max(valences)
+
+
+def _entity_set(graph: MolGraph, image_id: str) -> EntitySet:
+    """The labels of a graph whose atoms and bonds carry their source boxes:
+    one box per atom and bond, and a small charge or stereo box at the centre
+    of each charged or stereocentre atom.  Every score is 1."""
+    return EntitySet(
+        image_id,
+        EntityChannel("atom", tuple(
+            DetBox(a.source_box, _ATOM_IDS[a.element]) for a in graph.atoms
+        )),
+        EntityChannel("bond", tuple(
+            DetBox(b.source_box, _BOND_IDS[b.order]) for b in graph.bonds
+        )),
+        EntityChannel("charge", tuple(
+            DetBox(_small_box(a.source_box.center, CHARGE_BOX_HALF),
+                   _CHARGE_IDS[a.formal_charge])
+            for a in graph.atoms if a.formal_charge != 0
+        )),
+        EntityChannel("stereo", tuple(
+            DetBox(_small_box(a.source_box.center, STEREO_BOX_HALF), 0)
+            for a in graph.atoms if a.is_stereocenter
+        )),
+    )
+
+
+def _apply_boxed(graph: MolGraph, op: EditOp, bond_box, atom_box=None) -> MolGraph:
+    """apply_op on a graph whose atoms and bonds carry their source boxes.
+
+    Only what the op inserts lacks a box: an inserted atom gets
+    `atom_box(boxes)` of the atom boxes before it, an inserted bond
+    `bond_box(u_box, v_box)` of its endpoints' boxes.
+    """
+    graph = apply_op(graph, op)
+    atoms, bonds = graph.atoms, graph.bonds
+    if atoms and atoms[-1].source_box is None:
+        box = atom_box([a.source_box for a in atoms[:-1]])
+        atoms = atoms[:-1] + (replace(atoms[-1], source_box=box),)
+    if bonds and bonds[-1].source_box is None:
+        last = bonds[-1]
+        box = bond_box(atoms[last.u].source_box, atoms[last.v].source_box)
+        bonds = bonds[:-1] + (replace(last, source_box=box),)
+    return MolGraph(atoms, bonds)
 
 
 def plant_errors(
@@ -601,7 +641,10 @@ def plant_errors(
 ) -> EntitySet:
     """Render a graph to synthetic detections, then corrupt n_edits entries.
 
-    Corruptions are sampled so each one maps to exactly one graph edit after
+    The render is the truth graph with a lattice box on every atom and bond;
+    each corruption is one EditOp applied to that box-carrying graph with
+    apply_op, and the labels are written from the result.  Corruptions are
+    sampled so each one maps to exactly one graph edit after
     re-construction: atom relabels and bond relabels stay valence-safe,
     inserted bonds are single, non-parallel, and must resolve back to their
     own endpoints, and aromatic bonds are left alone (touching one would
@@ -612,165 +655,97 @@ def plant_errors(
         raise ValueError("truth graph must be chemically valid")
     params = ConstructorParams()
     positions = _layout(truth)
-    atom_rows = [
-        [_ATOM_IDS[a.element], _atom_box(positions[i])]
-        for i, a in enumerate(truth.atoms)
-    ]
-    bond_rows = [
-        [_BOND_IDS[b.order], _bond_box(positions[b.u], positions[b.v]), b.pair]
-        for b in truth.bonds
-    ]
-    charge_rows = [
-        [_CHARGE_IDS[a.formal_charge], _small_box(positions[i], CHARGE_BOX_HALF)]
-        for i, a in enumerate(truth.atoms) if a.formal_charge != 0
-    ]
-    stereo_rows = [
-        [0, _small_box(positions[i], STEREO_BOX_HALF)]
-        for i, a in enumerate(truth.atoms) if a.is_stereocenter
-    ]
-
-    elements = [a.element for a in truth.atoms]
-    charges = [a.formal_charge for a in truth.atoms]
-    orders: dict[tuple[int, int], str] = {b.pair: b.order for b in truth.bonds}
-    touched_atoms: set[int] = set()
-    touched_pairs: set[tuple[int, int]] = set()
-    rng = random.Random(seed)
-
-    def assemble() -> EntitySet:
-        return EntitySet(
-            image_id,
-            EntityChannel("atom", tuple(DetBox(box, cid) for cid, box in atom_rows)),
-            EntityChannel("bond", tuple(DetBox(row[1], row[0]) for row in bond_rows)),
-            EntityChannel("charge", tuple(DetBox(box, cid) for cid, box in charge_rows)),
-            EntityChannel("stereo", tuple(DetBox(box, cid) for cid, box in stereo_rows)),
-        )
-
-    if not isomorphic(construct(assemble(), params), truth):
+    graph = MolGraph(
+        tuple(replace(a, source_box=_atom_box(positions[i]))
+              for i, a in enumerate(truth.atoms)),
+        tuple(replace(b, source_box=_bond_box(positions[b.u], positions[b.v]))
+              for b in truth.bonds),
+    )
+    rendered = _entity_set(graph, image_id)
+    if not isomorphic(construct(rendered, params), truth):
         raise LayoutError("rendered boxes do not re-construct the input graph")
+    # no corruption inserts or deletes an atom, so the atom boxes stay put
+    det_atoms = rendered.atoms
 
-    def resolves_to(box: BBox, expect: tuple[int, int]) -> bool:
-        det_atoms = EntityChannel(
-            "atom", tuple(DetBox(row[1], row[0]) for row in atom_rows)
-        )
+    def resolves_to(u: int, v: int) -> bool:
+        """Whether a bond box drawn from u to v re-constructs onto u and v."""
+        box = _bond_box(positions[u], positions[v])
         hits = bond_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]), params)
         if len(hits) == 2:
             found = (hits[0], hits[1])
         elif len(hits) > 2:
-            try:
-                found = filter_cands(hits, det_atoms, box)
-            except ValueError:
-                return False
+            found = filter_cands(hits, det_atoms, box)
         else:
             return False
-        return (min(found), max(found)) == expect
+        return (min(found), max(found)) == (u, v)
 
-    def order_sum_at(i: int, skip=None, extra=0.0) -> float:
-        total = extra
-        for pair, order in orders.items():
-            if i in pair and pair != skip:
-                total += ORDER_VALUE[order]
-        return total
+    touched_atoms: set[int] = set()
+    touched_pairs: set[tuple[int, int]] = set()
+    rng = random.Random(seed)
 
-    def relabel_atom_candidates() -> list[tuple[int, str]]:
-        out = []
-        for i in range(truth.n_atoms):
-            if i in touched_atoms:
-                continue
-            for element in sorted(_ATOM_IDS):
-                if element != elements[i] and _fits_valence(
-                    element, charges[i], order_sum_at(i)
-                ):
-                    out.append((i, element))
-        return out
+    def candidates(kind: str) -> list[EditOp]:
+        """The corruptions of one kind still open on the graph planted so
+        far, in the order the seed draws from."""
+        atoms = graph.atoms
+        orders = {b.pair: b.order for b in graph.bonds}
+        sums = [0.0] * len(atoms)
+        for b in graph.bonds:
+            sums[b.u] += ORDER_VALUE[b.order]
+            sums[b.v] += ORDER_VALUE[b.order]
 
-    def relabel_bond_candidates() -> list[tuple[tuple[int, int], str]]:
-        out = []
-        for pair, order in sorted(orders.items()):
-            normal = match_order(order)
-            if pair in touched_pairs or normal not in _PLAIN_ORDERS:
-                continue
-            for new_order in _PLAIN_ORDERS:
-                if new_order == normal:
+        def fits(e: int, extra: float, element: str | None = None) -> bool:
+            return _fits_valence(element or atoms[e].element,
+                                 atoms[e].formal_charge, sums[e] + extra)
+
+        out: list[EditOp] = []
+        if kind == "relabel_atom":
+            for i, atom in enumerate(atoms):
+                if i in touched_atoms:
                     continue
-                grow = ORDER_VALUE[new_order]
-                if all(
-                    _fits_valence(elements[e], charges[e],
-                                  order_sum_at(e, skip=pair, extra=grow))
-                    for e in pair
-                ):
-                    out.append((pair, new_order))
-        return out
-
-    def delete_bond_candidates() -> list[tuple[int, int]]:
-        return [
-            pair for pair, order in sorted(orders.items())
-            if pair not in touched_pairs and match_order(order) in _PLAIN_ORDERS
-        ]
-
-    def insert_bond_candidates() -> list[tuple[int, int]]:
-        out = []
-        for u in range(truth.n_atoms):
-            for v in range(u + 1, truth.n_atoms):
-                pair = (u, v)
-                if pair in orders or pair in touched_pairs:
+                out.extend(
+                    EditOp.relabel_atom(i, element, atom.formal_charge)
+                    for element in sorted(_ATOM_IDS)
+                    if element != atom.element and fits(i, 0.0, element)
+                )
+        elif kind == "insert_bond":
+            for u in range(len(atoms)):
+                for v in range(u + 1, len(atoms)):
+                    if ((u, v) not in orders and (u, v) not in touched_pairs
+                            and fits(u, 1.0) and fits(v, 1.0) and resolves_to(u, v)):
+                        out.append(EditOp.insert_bond((u, v), "single"))
+        else:
+            for pair, order in sorted(orders.items()):
+                normal = match_order(order)
+                if pair in touched_pairs or normal not in _PLAIN_ORDERS:
                     continue
-                if not all(
-                    _fits_valence(elements[e], charges[e],
-                                  order_sum_at(e, extra=1.0))
-                    for e in pair
-                ):
+                if kind == "delete_bond":
+                    out.append(EditOp.delete_bond(pair))
                     continue
-                if resolves_to(_bond_box(positions[u], positions[v]), pair):
-                    out.append(pair)
+                for new_order in _PLAIN_ORDERS:
+                    grow = ORDER_VALUE[new_order] - ORDER_VALUE[order]
+                    if new_order != normal and all(fits(e, grow) for e in pair):
+                        out.append(EditOp.relabel_bond(pair, new_order))
         return out
 
     for _ in range(n_edits):
         kinds = ["relabel_atom", "relabel_bond", "delete_bond", "insert_bond"]
         rng.shuffle(kinds)
         for kind in kinds:
-            if kind == "relabel_atom":
-                cands = relabel_atom_candidates()
-                if not cands:
-                    continue
-                i, element = rng.choice(cands)
-                elements[i] = element
-                atom_rows[i][0] = _ATOM_IDS[element]
-                touched_atoms.add(i)
-            elif kind == "relabel_bond":
-                cands = relabel_bond_candidates()
-                if not cands:
-                    continue
-                pair, new_order = rng.choice(cands)
-                orders[pair] = new_order
-                for row in bond_rows:
-                    if row[2] == pair:
-                        row[0] = _BOND_IDS[new_order]
-                touched_pairs.add(pair)
-            elif kind == "delete_bond":
-                cands = delete_bond_candidates()
-                if not cands:
-                    continue
-                pair = rng.choice(cands)
-                del orders[pair]
-                bond_rows = [row for row in bond_rows if row[2] != pair]
-                touched_pairs.add(pair)
-            else:
-                cands = insert_bond_candidates()
-                if not cands:
-                    continue
-                pair = rng.choice(cands)
-                orders[pair] = "single"
-                bond_rows.append([
-                    _BOND_IDS["single"],
-                    _bond_box(positions[pair[0]], positions[pair[1]]),
-                    pair,
-                ])
-                touched_pairs.add(pair)
-            break
+            cands = candidates(kind)
+            if cands:
+                op = rng.choice(cands)
+                graph = _apply_boxed(
+                    graph, op, lambda a, b: _bond_box(a.center, b.center)
+                )
+                if op.pair is None:
+                    touched_atoms.add(op.atom_index)
+                else:
+                    touched_pairs.add(op.pair)
+                break
         else:
             raise ValueError("no further corruption is possible on this graph")
 
-    return assemble()
+    return _entity_set(graph, image_id)
 
 
 def project_pseudo_labels(
@@ -781,6 +756,8 @@ def project_pseudo_labels(
 ) -> EntitySet:
     """Push an edit script back onto the entity boxes.
 
+    The script is applied with apply_op to the constructed graph, whose atoms
+    and bonds carry their boxes, and the labels are written from the result.
     Relabels keep the original box with a new class; deletions drop boxes;
     an inserted bond spans its endpoint boxes and an inserted atom gets a
     median-size box placed outward from its attachment.  The result must
@@ -792,89 +769,22 @@ def project_pseudo_labels(
         if not isomorphic(base, corrected):
             raise ProjectionError("construction no longer matches the corrected graph")
         return pred_entities
-
-    boxes: list[BBox] = [a.source_box for a in base.atoms]
-    labels: list[tuple[str, int, bool]] = [
-        (a.element, a.formal_charge, a.is_stereocenter) for a in base.atoms
-    ]
-    bond_rows: list[dict] = [
-        {"pair": b.pair, "order": b.order, "box": b.source_box} for b in base.bonds
-    ]
-    if any(box is None for box in boxes) or any(r["box"] is None for r in bond_rows):
+    if any(a.source_box is None for a in base.atoms) or any(
+        b.source_box is None for b in base.bonds
+    ):
         raise ProjectionError("constructed graph lacks box provenance")
 
-    def median_half() -> float:
-        spans = sorted(
-            v for box in boxes for v in (box.width / 2.0, box.height / 2.0)
-        )
-        if not spans:
-            return ATOM_BOX_HALF
-        return spans[len(spans) // 2]
-
+    graph = base
     for op in script.ops:
-        if op.kind == "relabel_atom":
-            _, _, flag = labels[op.atom_index]
-            labels[op.atom_index] = (op.element, op.charge, flag)
-        elif op.kind == "relabel_bond":
-            for row in bond_rows:
-                if row["pair"] == op.pair:
-                    row["order"] = op.order
-                    break
-            else:
-                raise ProjectionError(f"no bond {op.pair} to relabel")
-        elif op.kind == "delete_bond":
-            before = len(bond_rows)
-            bond_rows = [r for r in bond_rows if r["pair"] != op.pair]
-            if len(bond_rows) == before:
-                raise ProjectionError(f"no bond {op.pair} to delete")
-        elif op.kind == "insert_bond":
-            u, v = op.pair
-            bond_rows.append({
-                "pair": (min(u, v), max(u, v)),
-                "order": op.order,
-                "box": _union_box(boxes[u], boxes[v]),
-            })
-        elif op.kind == "delete_atom":
-            i = op.atom_index
-            if any(i in r["pair"] for r in bond_rows):
-                raise ProjectionError(f"atom {i} still bonded at deletion")
-            del boxes[i]
-            del labels[i]
-            for row in bond_rows:
-                u, v = row["pair"]
-                row["pair"] = (u - (u > i), v - (v > i))
-        else:  # insert_atom
-            new_box = _synthesize_atom_box(boxes, op.attach_to, median_half())
-            new_index = len(boxes)
-            boxes.append(new_box)
-            labels.append((op.element, op.charge, False))
-            if op.attach_to is not None:
-                bond_rows.append({
-                    "pair": (min(op.attach_to, new_index), max(op.attach_to, new_index)),
-                    "order": op.order,
-                    "box": _union_box(boxes[op.attach_to], new_box),
-                })
+        try:
+            graph = _apply_boxed(
+                graph, op, _union_box,
+                lambda boxes: _synthesize_atom_box(boxes, op.attach_to),
+            )
+        except ValueError as exc:
+            raise ProjectionError(f"script does not apply: {exc}") from exc
 
-    atoms = EntityChannel("atom", tuple(
-        DetBox(box, _ATOM_IDS[label[0]]) for box, label in zip(boxes, labels)
-    ))
-    bonds = EntityChannel("bond", tuple(
-        DetBox(row["box"], _BOND_IDS[row["order"]]) for row in bond_rows
-    ))
-    charge_boxes = tuple(
-        DetBox(_small_box(boxes[i].center, CHARGE_BOX_HALF), _CHARGE_IDS[label[1]])
-        for i, label in enumerate(labels) if label[1] != 0
-    )
-    stereo_boxes = tuple(
-        DetBox(_small_box(boxes[i].center, STEREO_BOX_HALF), 0)
-        for i, label in enumerate(labels) if label[2]
-    )
-    result = EntitySet(
-        pred_entities.image_id,
-        atoms, bonds,
-        EntityChannel("charge", charge_boxes),
-        EntityChannel("stereo", stereo_boxes),
-    )
+    result = _entity_set(graph, pred_entities.image_id)
     rebuilt = construct(result, params)
     if not isomorphic(rebuilt, corrected):
         raise ProjectionError("pseudo-labels do not re-construct the corrected graph")
@@ -886,9 +796,10 @@ def _union_box(a: BBox, b: BBox) -> BBox:
                 max(a.xmax, b.xmax), max(a.ymax, b.ymax))
 
 
-def _synthesize_atom_box(
-    boxes: list[BBox], attach_to: int | None, half: float
-) -> BBox:
+def _synthesize_atom_box(boxes: list[BBox], attach_to: int | None) -> BBox:
+    """A box of the boxes' median half-size, outward from the attachment."""
+    spans = sorted(v for box in boxes for v in (box.width / 2.0, box.height / 2.0))
+    half = spans[len(spans) // 2] if spans else ATOM_BOX_HALF
     if attach_to is None or not boxes:
         base = max((box.xmax for box in boxes), default=0.0)
         return _small_box((base + 6 * half, 0.0), half)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 ATOM_CLASSES: dict[int, str] = {
@@ -32,28 +32,12 @@ class LabelFileError(ValueError):
     """Raised for malformed label CSV content; messages name the line."""
 
 
-@dataclass(frozen=True)
-class LabelVocab:
-    """Maps integer class ids of one channel to their meaning and back."""
-
-    kind: str
-    id_to_label: dict[int, object]
-    label_to_id: dict[object, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "label_to_id", {v: k for k, v in self.id_to_label.items()}
-        )
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.id_to_label
-
-
-VOCABS: dict[str, LabelVocab] = {
-    "atom": LabelVocab("atom", ATOM_CLASSES),
-    "bond": LabelVocab("bond", BOND_CLASSES),
-    "charge": LabelVocab("charge", CHARGE_CLASSES),
-    "stereo": LabelVocab("stereo", STEREO_CLASSES),
+#: Each channel's class ids and their meaning.
+VOCABS: dict[str, dict[int, object]] = {
+    "atom": ATOM_CLASSES,
+    "bond": BOND_CLASSES,
+    "charge": CHARGE_CLASSES,
+    "stereo": STEREO_CLASSES,
 }
 
 

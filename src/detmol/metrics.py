@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .entities import EntitySet, iou
+from .entities import CHANNEL_KINDS, EntitySet, iou
 from .fingerprint import FpParams, ecfp, tanimoto
 from .molgraph import MolGraph, isomorphic, match_order
 from .smiles import SmilesError, parse
@@ -216,18 +216,6 @@ def _ap_from_flags(flags: list[bool], n_ref: int) -> float:
     return ap
 
 
-_CHANNEL_KINDS = ("atom", "bond", "charge", "stereo")
-
-
-def _channel(entity_set: EntitySet, kind: str):
-    return {
-        "atom": entity_set.atoms,
-        "bond": entity_set.bonds,
-        "charge": entity_set.charges,
-        "stereo": entity_set.stereos,
-    }[kind]
-
-
 def mean_average_precision(
     pred_entities: dict[str, EntitySet],
     ref_entities: dict[str, EntitySet],
@@ -239,8 +227,8 @@ def mean_average_precision(
     image_ids = sorted(ref_entities)
     classes: set[tuple[str, int]] = set()
     for image_id in image_ids:
-        for kind in _CHANNEL_KINDS:
-            for det in _channel(ref_entities[image_id], kind):
+        for kind in CHANNEL_KINDS:
+            for det in getattr(ref_entities[image_id], kind + "s"):
                 classes.add((kind, det.class_id))
     if not classes:
         return None
@@ -249,7 +237,7 @@ def mean_average_precision(
     for kind, class_id in sorted(classes):
         refs_by_image = {
             image_id: [
-                det.box for det in _channel(ref_entities[image_id], kind)
+                det.box for det in getattr(ref_entities[image_id], kind + "s")
                 if det.class_id == class_id
             ]
             for image_id in image_ids
@@ -260,7 +248,7 @@ def mean_average_precision(
             entity_set = pred_entities.get(image_id)
             if entity_set is None:
                 continue
-            for det_index, det in enumerate(_channel(entity_set, kind)):
+            for det_index, det in enumerate(getattr(entity_set, kind + "s")):
                 if det.class_id == class_id:
                     pooled.append((-det.score, image_order, det_index, image_id, det.box))
         pooled.sort(key=lambda item: item[:3])

@@ -132,10 +132,8 @@ class MolGraph:
 EMPTY_GRAPH = MolGraph((), ())
 
 
-def match_order(order: str, strict_stereo: bool = False) -> str:
+def match_order(order: str) -> str:
     """Bond label used for comparisons; wedge marks collapse to single."""
-    if strict_stereo:
-        return order
     return _MATCH_ORDER.get(order, order)
 
 
@@ -219,11 +217,11 @@ def implicit_hydrogens(graph: MolGraph, index: int) -> int:
     return max(0, target - occupied)
 
 
-def neighbours(graph: MolGraph, strict_stereo: bool = False) -> list[list[tuple[int, str]]]:
+def neighbours(graph: MolGraph) -> list[list[tuple[int, str]]]:
     """Per atom, its (neighbour, bond label) pairs; labels as in match_order."""
     nbrs: list[list[tuple[int, str]]] = [[] for _ in graph.atoms]
     for b in graph.bonds:
-        code = match_order(b.order, strict_stereo)
+        code = match_order(b.order)
         nbrs[b.u].append((b.v, code))
         nbrs[b.v].append((b.u, code))
     return nbrs
@@ -287,11 +285,11 @@ def connected_order(nbrs: list[list[tuple[int, str]]], key) -> list[int]:
     return order
 
 
-def isomorphic(a: MolGraph, b: MolGraph, strict_stereo: bool = False) -> bool:
+def isomorphic(a: MolGraph, b: MolGraph) -> bool:
     """Label-preserving graph isomorphism.
 
     Elements, formal charges, adjacency, and bond orders must correspond;
-    wedged and dashed bonds count as single unless strict_stereo is set.
+    wedged and dashed bonds count as single.
     Stereocenter flags are derived annotations and are not compared.
     """
     if a.n_atoms != b.n_atoms or len(a.bonds) != len(b.bonds):
@@ -299,8 +297,8 @@ def isomorphic(a: MolGraph, b: MolGraph, strict_stereo: bool = False) -> bool:
     n = a.n_atoms
     if n == 0:
         return True
-    nbrs_a = neighbours(a, strict_stereo)
-    nbrs_b = neighbours(b, strict_stereo)
+    nbrs_a = neighbours(a)
+    nbrs_b = neighbours(b)
     # refining the disjoint union makes colours comparable across a and b
     union = nbrs_a + [[(j + n, code) for j, code in row] for row in nbrs_b]
     colors = refine(

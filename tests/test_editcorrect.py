@@ -1,4 +1,7 @@
+import hashlib
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,9 @@ from detmol import (
     Atom, Bond, EditOp, EditScript, MolGraph, ProjectionError, apply_op,
     apply_script, construct, detect_problems, edit_correct, isomorphic, parse,
     plant_errors, project_pseudo_labels,
+)
+from detmol.entities import (
+    CHANNEL_KINDS, BBox, DetBox, EntityChannel, write_label_file,
 )
 from conftest import random_molecule
 
@@ -416,6 +422,16 @@ class TestProjection:
         with pytest.raises(ProjectionError):
             project_pseudo_labels(entities, EditScript(()), parse("CCN"))
 
+    @pytest.mark.parametrize("op", [
+        EditOp.delete_bond((0, 2)),
+        EditOp.insert_atom("C", attach_to=9, order="single"),
+    ])
+    def test_script_that_does_not_apply_raises(self, op):
+        truth = parse("CCO")
+        entities = plant_errors(truth, n_edits=0, seed=1)
+        with pytest.raises(ProjectionError):
+            project_pseudo_labels(entities, EditScript((op,)), truth)
+
     def test_projection_round_trip(self):
         rng = random.Random(23)
         for _ in range(15):
@@ -433,3 +449,109 @@ class TestProjection:
         found = edit_correct(pred, truth, k_max=2)
         projected = project_pseudo_labels(entities, found.script, truth)
         assert projected.image_id == "sample7"
+
+
+def _wedged_truth(smiles):
+    """The parsed SMILES with the first bond of each stereocentre drawn
+    wedged, so that construct flags the stereocentre back."""
+    g = parse(smiles)
+    wedge = {
+        next(k for k, b in enumerate(g.bonds) if i in b.pair)
+        for i, atom in enumerate(g.atoms) if atom.is_stereocenter
+    }
+    return MolGraph(g.atoms, tuple(
+        replace(b, order="wedged") if k in wedge else b
+        for k, b in enumerate(g.bonds)
+    ))
+
+
+def _label_text(entities):
+    return "".join(
+        f"{kind}s.csv\n" + write_label_file(getattr(entities, kind + "s"))
+        for kind in CHANNEL_KINDS
+    )
+
+
+def _golden_label_case(kind, smiles, arg, seed):
+    """The op kinds of the correction (empty for "plant") and the label text.
+
+    "plant" renders with `arg` planted edits; "project" also corrects and
+    projects.  "drop" removes atom box `arg` and its bond boxes from a clean
+    render, and "stray" adds a carbon box `arg` pixels right of the drawing,
+    before correcting and projecting.
+    """
+    truth = _wedged_truth(smiles)
+    if kind in ("plant", "project"):
+        entities = plant_errors(truth, arg, seed)
+    else:
+        entities = plant_errors(truth, 0, seed)
+        atoms, bonds = entities.atoms.boxes, entities.bonds.boxes
+        if kind == "drop":
+            atoms = atoms[:arg] + atoms[arg + 1:]
+            bonds = tuple(
+                b for b, t in zip(bonds, truth.bonds) if arg not in t.pair
+            )
+        else:
+            right = max(det.box.xmax for det in atoms)
+            atoms += (DetBox(BBox(right + arg, -10, right + arg + 20, 10), 0),)
+        entities = replace(entities, atoms=EntityChannel("atom", atoms),
+                           bonds=EntityChannel("bond", bonds))
+    if kind == "plant":
+        return "", _label_text(entities)
+    found = edit_correct(construct(entities), truth, k_max=3)
+    ops = " ".join(
+        op.kind + ("+bond" if op.attach_to is not None else "")
+        for op in found.script.ops
+    )
+    projected = project_pseudo_labels(entities, found.script, found.graph)
+    return ops, _label_text(projected)
+
+
+# (kind, SMILES, edits / atom / offset, seed, op kinds of the correction,
+# first 16 hex digits of the sha256 of the four label files' text)
+GOLDEN_LABELS = [
+    ("plant", "C[N+](C)(C)C.[Cl-]", 0, 0, "", "2ed54d9d83752943"),
+    ("plant", "FC(F)(F)C(=O)[O-].[NH4+]", 1, 3, "", "bff672a692923034"),
+    ("plant", "C[C@H](N)C(=O)O", 2, 5, "", "b39f71ead119a897"),
+    ("plant", "CC(C)(C)c1ccc(O)cc1", 3, 7, "", "629c3f6d26877f5c"),
+    ("plant", "c1ccncc1", 1, 2, "", "671cc450d6bf640a"),
+    ("plant", "OCC(O)CO", 2, 11, "", "61ef275ce4280b91"),
+    ("project", "C[N+](C)(C)CC(=O)[O-]", 1, 4, "insert_bond", "efb58cc0154c747d"),
+    ("project", "C[C@H](N)C(=O)O", 2, 6, "delete_bond insert_bond",
+     "105104f4113bb730"),
+    ("project", "N[C@@H](CS)C(=O)O", 1, 8, "relabel_atom", "731e3a6ade21384d"),
+    ("project", "Nc1ccc(cc1)C(F)(F)F", 2, 1070, "delete_bond relabel_atom",
+     "8f6a8686f0e02b2e"),
+    ("project", "CC(C)(C)O", 2, 1019, "insert_bond insert_bond", "ac7f5dd2f1056aa7"),
+    ("project", "Oc1ccc(O)cc1", 1, 1052, "delete_bond", "12de95f38b021237"),
+    ("project", "CC(C)(C)c1ccc(O)cc1", 3, 1037,
+     "delete_bond relabel_bond insert_bond", "91ac03e006a4d04f"),
+    ("drop", "CC(=O)N", 3, 0, "insert_atom+bond", "dc418a5020ebfc48"),
+    ("drop", "CCOC", 2, 0, "insert_atom+bond insert_bond", "37788c59837f8e8b"),
+    ("drop", "C[N+](C)(C)C.[Cl-]", 5, 0, "insert_atom", "7d663c4d0adb5836"),
+    ("drop", "O.O.O", 1, 0, "insert_atom", "e9e6bbe36d62e3f6"),
+    ("drop", "C[C@H](N)C(=O)O", 2, 1, "insert_atom+bond", "b32097b7186527ac"),
+    ("stray", "CCO", 90, 0, "delete_atom", "f09acf98cc71be8c"),
+    ("stray", "CC(C)(C)[NH3+].[Cl-]", 100, 0, "delete_atom", "ebef12e933c5e8a4"),
+    ("stray", "C[C@H](N)C(=O)O", 80, 3, "delete_atom", "1c628f98665a8e2b"),
+]
+
+
+class TestGoldenLabels:
+    @pytest.mark.parametrize("case", GOLDEN_LABELS, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_label_text_is_pinned(self, case):
+        kind, smiles, arg, seed, ops, digest = case
+        got_ops, text = _golden_label_case(kind, smiles, arg, seed)
+        assert got_ops == ops
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, text
+
+    def test_cases_cover_charges_stereo_and_every_projected_edit(self):
+        found = [(case[0], *_golden_label_case(*case[:4])) for case in GOLDEN_LABELS]
+        for kind in ("plant", "project", "drop", "stray"):
+            texts = [text for k, _, text in found if k == kind]
+            for channel in ("charges", "stereos"):
+                header = rf"{channel}\.csv\nlabel,xmin,ymin,xmax,ymax\n\d"
+                assert any(re.search(header, text) for text in texts), (kind, channel)
+        kinds = {k for _, ops, _ in found for k in ops.split()}
+        assert {"insert_bond", "insert_atom", "insert_atom+bond", "delete_atom",
+                "delete_bond", "relabel_atom", "relabel_bond"} <= kinds
