@@ -78,7 +78,7 @@ def main(argv=None) -> int:
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("MOLGRAPH_LOG", "WARNING").upper()
+    level_name = os.environ.get("DETMOL_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         level = logging.WARNING
@@ -133,7 +133,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     common.add_argument("--strict", action="store_true",
                         help="exit 1 if any image fails")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; output order is preserved")
+                        help="worker threads for construct and cascade; "
+                             "output order is preserved")
     constructor = argparse.ArgumentParser(add_help=False)
     constructor.add_argument("--atom-merge-iou", type=float, default=0.5)
     constructor.add_argument("--edge-expand-step", type=float, default=5.0)

@@ -172,6 +172,23 @@ def filter_cands(
     return first, second
 
 
+def resolve_endpoints(
+    atoms: EntityChannel, bond: DetBox,
+    params: ConstructorParams = ConstructorParams(),
+) -> tuple[list[int], tuple[int, int] | None]:
+    """The bond_endpoints candidates and the atom pair the bond joins.
+
+    Two candidates are the pair; more go through filter_cands; fewer join
+    no pair (None).
+    """
+    hits = bond_endpoints(atoms, bond, params)
+    if len(hits) == 2:
+        return hits, (hits[0], hits[1])
+    if len(hits) > 2:
+        return hits, filter_cands(hits, atoms, bond.box)
+    return hits, None
+
+
 def construct(
     entities: EntitySet,
     params: ConstructorParams = ConstructorParams(),
@@ -196,24 +213,17 @@ def construct(
 
     chosen: dict[tuple[int, int], Bond] = {}
     for index, det in enumerate(entities.bonds):
-        hits = bond_endpoints(atoms, det, params)
-        if len(hits) == 2:
-            u, v = hits
-        elif len(hits) > 2:
-            u, v = filter_cands(hits, atoms, det.box)
-        else:
+        hits, pair = resolve_endpoints(atoms, det, params)
+        if pair is None:
             if warnings is not None:
                 reason = "no_endpoints" if not hits else "single_endpoint"
                 warnings.append(DroppedBond(entities.image_id, index, reason))
             continue
-        bond = Bond(u, v, BOND_CLASSES[det.class_id], det.box, det.score)
+        bond = Bond(*pair, BOND_CLASSES[det.class_id], det.box, det.score)
         held = chosen.get(bond.pair)
-        if held is None or (bond.score, _order_rank(bond)) > (held.score, _order_rank(held)):
+        rank = (bond.score, ORDER_VALUE[bond.order])
+        if held is None or rank > (held.score, ORDER_VALUE[held.order]):
             chosen[bond.pair] = bond
 
     graph = MolGraph(graph_atoms, tuple(chosen.values()))
     return repair(graph, max_iterations=params.max_repair_iterations)
-
-
-def _order_rank(bond: Bond) -> float:
-    return ORDER_VALUE[bond.order]

@@ -7,14 +7,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .constructor import ConstructorParams, bond_endpoints, construct, filter_cands
+from .constructor import ConstructorParams, construct, resolve_endpoints
 from .entities import (
     ATOM_CLASSES, BOND_CLASSES, CHARGE_CLASSES, BBox, DetBox, EntityChannel,
     EntitySet, intersects,
 )
 from .molgraph import (
-    ORDER_VALUE, Atom, Bond, MolGraph, allowed_valences, connected_order,
-    detect_problems, isomorphic, match_order, neighbours,
+    ORDER_VALUE, Atom, Bond, MolGraph, connected_order, detect_problems,
+    isomorphic, match_order, neighbours, order_sums, over_valence,
 )
 
 EDIT_KINDS = (
@@ -401,25 +401,20 @@ def _script_from_mapping(
 
     placed = {r: working_index[i] for r, i in owner.items()}
     next_index = pred.n_atoms - len(deleted)
-    adj_r = ref.adjacency()
+    nbrs_r = neighbours(ref)
     bundled: set[tuple[int, int]] = set()
     remaining = {s for s in range(ref.n_atoms) if s not in placed}
     while remaining:
         anchored = sorted(
-            s for s in remaining
-            if any(b.other(s) in placed for b in adj_r[s])
+            s for s in remaining if any(j in placed for j, _ in nbrs_r[s])
         )
         if anchored:
             s = anchored[0]
-            anchor_bond = min(
-                (b for b in adj_r[s] if b.other(s) in placed),
-                key=lambda b: b.other(s),
-            )
+            j, code = min(row for row in nbrs_r[s] if row[0] in placed)
             ops.append(EditOp.insert_atom(
-                ref.atoms[s].element, ref.atoms[s].formal_charge,
-                placed[anchor_bond.other(s)], match_order(anchor_bond.order),
+                ref.atoms[s].element, ref.atoms[s].formal_charge, placed[j], code,
             ))
-            bundled.add(anchor_bond.pair)
+            bundled.add((min(s, j), max(s, j)))
         else:
             s = min(remaining)
             ops.append(EditOp.insert_atom(
@@ -476,7 +471,7 @@ def _layout(graph: MolGraph) -> list[tuple[float, float]]:
 
 def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
     n = graph.n_atoms
-    adj = graph.adjacency()
+    nbrs = neighbours(graph)
     order: list[int] = []
     parents: list[int | None] = []
     seen = [False] * n
@@ -489,8 +484,7 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
         queue = [root]
         while queue:
             node = queue.pop(0)
-            for bond in adj[node]:
-                other = bond.other(node)
+            for other, _ in nbrs[node]:
                 if not seen[other]:
                     seen[other] = True
                     order.append(other)
@@ -518,9 +512,7 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
             choices = [(base + d, 0) for d in range(0, 4 * n, 4)]
         else:
             pq, pr = cells[parent]
-            placed_mates = [
-                cells[b.other(atom)] for b in adj[atom] if b.other(atom) in cells
-            ]
+            placed_mates = [cells[j] for j, _ in nbrs[atom] if j in cells]
             choices = [(pq + dq, pr + dr) for dq, dr in _AXIAL_STEPS]
             if strict:
                 # every bond must land on a unit lattice edge, otherwise its
@@ -586,11 +578,6 @@ _BOND_IDS = {name: i for i, name in BOND_CLASSES.items()}
 _ATOM_IDS = {symbol: i for i, symbol in ATOM_CLASSES.items()}
 _CHARGE_IDS = {value: i for i, value in CHARGE_CLASSES.items()}
 _PLAIN_ORDERS = ("single", "double", "triple")
-
-
-def _fits_valence(element: str, charge: int, order_sum: float) -> bool:
-    valences = allowed_valences(element, charge)
-    return valences is None or math.ceil(order_sum) <= max(valences)
 
 
 def _entity_set(graph: MolGraph, image_id: str) -> EntitySet:
@@ -670,14 +657,8 @@ def plant_errors(
     def resolves_to(u: int, v: int) -> bool:
         """Whether a bond box drawn from u to v re-constructs onto u and v."""
         box = _bond_box(positions[u], positions[v])
-        hits = bond_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]), params)
-        if len(hits) == 2:
-            found = (hits[0], hits[1])
-        elif len(hits) > 2:
-            found = filter_cands(hits, det_atoms, box)
-        else:
-            return False
-        return (min(found), max(found)) == (u, v)
+        _, pair = resolve_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]), params)
+        return pair is not None and (min(pair), max(pair)) == (u, v)
 
     touched_atoms: set[int] = set()
     touched_pairs: set[tuple[int, int]] = set()
@@ -688,14 +669,11 @@ def plant_errors(
         far, in the order the seed draws from."""
         atoms = graph.atoms
         orders = {b.pair: b.order for b in graph.bonds}
-        sums = [0.0] * len(atoms)
-        for b in graph.bonds:
-            sums[b.u] += ORDER_VALUE[b.order]
-            sums[b.v] += ORDER_VALUE[b.order]
+        sums = order_sums(neighbours(graph))
 
         def fits(e: int, extra: float, element: str | None = None) -> bool:
-            return _fits_valence(element or atoms[e].element,
-                                 atoms[e].formal_charge, sums[e] + extra)
+            return not over_valence(element or atoms[e].element,
+                                    atoms[e].formal_charge, sums[e] + extra)
 
         out: list[EditOp] = []
         if kind == "relabel_atom":

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .entities import ATOM_CLASSES
-from .molgraph import MolGraph, ORDER_VALUE, implicit_hydrogens, match_order
+from .molgraph import MolGraph, atom_invariants, implicit_hydrogens, neighbours
 
 _M64 = (1 << 64) - 1
 _SEED = 0x5D70C1E3A9F4B827
@@ -88,27 +87,20 @@ def ecfp(graph: MolGraph, params: FpParams = FpParams()) -> Fingerprint:
     sorted (bond order, neighbor id) list.  Identifiers from every round set
     bit id mod nbits.
     """
-    adj = graph.adjacency()
-    ids: list[int] = []
-    for i, atom in enumerate(graph.atoms):
-        order_sum = sum(ORDER_VALUE[b.order] for b in adj[i])
-        ids.append(_hash_ints((
-            _ELEMENT_IDS[atom.element],
-            atom.formal_charge + 16,
-            len(adj[i]),
-            math.ceil(order_sum),
-            implicit_hydrogens(graph, i),
-        )))
+    nbrs = neighbours(graph)
+    ids = [
+        _hash_ints((_ELEMENT_IDS[element], charge + 16, degree, occupied, hydrogens))
+        for (element, charge, degree, occupied), hydrogens in zip(
+            atom_invariants(graph, nbrs), implicit_hydrogens(graph)
+        )
+    ]
     bits = 0
     for i in ids:
         bits |= 1 << (i % params.nbits)
     for _ in range(params.radius):
         new_ids = []
-        for i in range(graph.n_atoms):
-            env = sorted(
-                (_ORDER_IDS[match_order(b.order)], ids[b.other(i)])
-                for b in adj[i]
-            )
+        for i, row in enumerate(nbrs):
+            env = sorted((_ORDER_IDS[code], ids[j]) for j, code in row)
             flat: list[int] = [ids[i]]
             for order_id, neighbor_id in env:
                 flat.append(order_id)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .entities import BBox
 
@@ -86,9 +86,6 @@ class Bond:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def other(self, index: int) -> int:
-        return self.v if index == self.u else self.u
-
 
 @dataclass(frozen=True)
 class ChemProblem:
@@ -121,16 +118,6 @@ class MolGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def adjacency(self) -> list[list[Bond]]:
-        adj: list[list[Bond]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.u].append(bond)
-            adj[bond.v].append(bond)
-        return adj
-
-
-EMPTY_GRAPH = MolGraph((), ())
-
 
 def match_order(order: str) -> str:
     """Bond label used for comparisons; wedge marks collapse to single."""
@@ -151,28 +138,45 @@ def allowed_valences(element: str, charge: int) -> tuple[int, ...] | None:
     return base
 
 
-def bond_order_sum(graph: MolGraph, index: int) -> float:
-    """Sum of order contributions over the atom's bonds; aromatic adds 1.5."""
-    return sum(
-        ORDER_VALUE[b.order] for b in graph.bonds if index in b.pair
-    )
+def neighbours(graph: MolGraph) -> list[list[tuple[int, str]]]:
+    """Per atom, its (neighbour, bond label) pairs in bond order; labels as
+    in match_order."""
+    nbrs: list[list[tuple[int, str]]] = [[] for _ in graph.atoms]
+    for b in graph.bonds:
+        code = match_order(b.order)
+        nbrs[b.u].append((b.v, code))
+        nbrs[b.v].append((b.u, code))
+    return nbrs
+
+
+def order_sums(nbrs: list[list[tuple[int, str]]]) -> list[float]:
+    """Per atom, the sum of its bonds' ORDER_VALUE; aromatic adds 1.5."""
+    sums = []
+    for row in nbrs:
+        total = 0.0
+        for _, code in row:
+            total += ORDER_VALUE[code]
+        sums.append(total)
+    return sums
+
+
+def over_valence(element: str, charge: int, order_sum: float) -> bool:
+    """Whether the rounded-up bond-order sum exceeds the largest valence the
+    atom allows; the wildcard allows any."""
+    valences = allowed_valences(element, charge)
+    return valences is not None and math.ceil(order_sum) > max(valences)
 
 
 def detect_problems(graph: MolGraph) -> list[ChemProblem]:
     """Valence and aromaticity violations, one entry per offending atom."""
     problems: list[ChemProblem] = []
-    adj = graph.adjacency()
-    for i, atom in enumerate(graph.atoms):
-        order_sum = sum(ORDER_VALUE[b.order] for b in adj[i])
-        valences = allowed_valences(atom.element, atom.formal_charge)
-        if valences is not None:
-            max_allowed = max(valences) if valences else 0
-            if math.ceil(order_sum) > max_allowed:
-                problems.append(ChemProblem(i, order_sum, max_allowed, "valence"))
-                continue
-        n_aromatic = sum(1 for b in adj[i] if b.order == "aromatic")
-        if n_aromatic == 1:
-            problems.append(ChemProblem(i, float(n_aromatic), 2.0, "aromatic"))
+    nbrs = neighbours(graph)
+    for i, (atom, row, order_sum) in enumerate(zip(graph.atoms, nbrs, order_sums(nbrs))):
+        if over_valence(atom.element, atom.formal_charge, order_sum):
+            max_allowed = max(allowed_valences(atom.element, atom.formal_charge))
+            problems.append(ChemProblem(i, order_sum, max_allowed, "valence"))
+        elif [code for _, code in row].count("aromatic") == 1:
+            problems.append(ChemProblem(i, 1.0, 2.0, "aromatic"))
     return problems
 
 
@@ -205,38 +209,26 @@ def repair(graph: MolGraph, max_iterations: int = 10) -> MolGraph:
     return current
 
 
-def implicit_hydrogens(graph: MolGraph, index: int) -> int:
-    """Hydrogens implied by the smallest allowed valence >= the bond sum."""
-    atom = graph.atoms[index]
-    valences = allowed_valences(atom.element, atom.formal_charge)
-    if valences is None:
-        return 0
-    occupied = math.ceil(bond_order_sum(graph, index))
-    fitting = [v for v in valences if v >= occupied]
-    target = min(fitting) if fitting else max(valences)
-    return max(0, target - occupied)
-
-
-def neighbours(graph: MolGraph) -> list[list[tuple[int, str]]]:
-    """Per atom, its (neighbour, bond label) pairs; labels as in match_order."""
-    nbrs: list[list[tuple[int, str]]] = [[] for _ in graph.atoms]
-    for b in graph.bonds:
-        code = match_order(b.order)
-        nbrs[b.u].append((b.v, code))
-        nbrs[b.v].append((b.u, code))
-    return nbrs
+def implicit_hydrogens(graph: MolGraph) -> list[int]:
+    """Per atom, the hydrogens implied by the smallest allowed valence at or
+    above its rounded-up bond-order sum (the largest when none is)."""
+    counts = []
+    for atom, order_sum in zip(graph.atoms, order_sums(neighbours(graph))):
+        valences = allowed_valences(atom.element, atom.formal_charge)
+        if valences is None:
+            counts.append(0)
+            continue
+        occupied = math.ceil(order_sum)
+        target = min((v for v in valences if v >= occupied), default=max(valences))
+        counts.append(max(0, target - occupied))
+    return counts
 
 
 def atom_invariants(graph: MolGraph, nbrs: list[list[tuple[int, str]]]) -> list[tuple]:
     """Initial colour keys: element, charge, degree, ceil of bond-order sum."""
     return [
-        (
-            atom.element,
-            atom.formal_charge,
-            len(row),
-            math.ceil(sum(ORDER_VALUE[code] for _, code in row)),
-        )
-        for atom, row in zip(graph.atoms, nbrs)
+        (atom.element, atom.formal_charge, len(row), math.ceil(order_sum))
+        for atom, row, order_sum in zip(graph.atoms, nbrs, order_sums(nbrs))
     ]
 
 

@@ -350,10 +350,6 @@ def canonical_ranks(graph: MolGraph) -> dict[int, int]:
     return dict(enumerate(best[1]))
 
 
-def _is_aromatic_atom(adj_row: list[Bond]) -> bool:
-    return sum(1 for b in adj_row if b.order == "aromatic") >= 2
-
-
 def _atom_token(atom: Atom, aromatic: bool) -> str:
     if atom.element == "D":
         symbol, bracket = "2H", True
@@ -385,25 +381,25 @@ def write(graph: MolGraph) -> str:
     if n == 0:
         return ""
     ranks = canonical_ranks(graph)
-    adj = graph.adjacency()
-    aromatic = [_is_aromatic_atom(adj[i]) for i in range(n)]
+    nbrs = neighbours(graph)
+    aromatic = [sum(code == "aromatic" for _, code in row) >= 2 for row in nbrs]
 
-    def bond_symbol(bond: Bond) -> str:
-        order = match_order(bond.order)
-        if order == "single":
-            return "-" if aromatic[bond.u] and aromatic[bond.v] else ""
-        if order == "aromatic":
-            return "" if aromatic[bond.u] and aromatic[bond.v] else ":"
-        return {"double": "=", "triple": "#"}[order]
+    def bond_symbol(u: int, v: int, code: str) -> str:
+        if code == "single":
+            return "-" if aromatic[u] and aromatic[v] else ""
+        if code == "aromatic":
+            return "" if aromatic[u] and aromatic[v] else ":"
+        return {"double": "=", "triple": "#"}[code]
 
-    def by_rank(node: int) -> list[Bond]:
-        return sorted(adj[node], key=lambda b: ranks[b.other(node)])
+    def by_rank(node: int) -> list[tuple[int, str]]:
+        return sorted(nbrs[node], key=lambda row: ranks[row[0]])
 
-    # depth-first spanning forest; a frame is (atom, bond it was reached by,
-    # its bonds not yet looked at, in rank order)
+    # depth-first spanning forest; a frame is (atom, the atom it was reached
+    # from, its neighbours not yet looked at, in rank order).  A child is
+    # kept as (atom, bond symbol), a ring closure also with the bond's pair.
     visited = [False] * n
-    children: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
-    closures: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+    children: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    closures: list[list[tuple[int, str, tuple[int, int]]]] = [[] for _ in range(n)]
     back_pairs: set[tuple[int, int]] = set()
     component_roots: list[int] = []
     for root in sorted(range(n), key=lambda i: ranks[i]):
@@ -411,22 +407,23 @@ def write(graph: MolGraph) -> str:
             continue
         component_roots.append(root)
         visited[root] = True
-        stack = [(root, None, iter(by_rank(root)))]
+        stack = [(root, -1, iter(by_rank(root)))]
         while stack:
-            node, via, rest = stack[-1]
-            for bond in rest:
-                other = bond.other(node)
-                if bond is via:
+            node, parent, rest = stack[-1]
+            for other, code in rest:
+                if other == parent:
                     continue
+                symbol = bond_symbol(node, other, code)
                 if not visited[other]:
                     visited[other] = True
-                    children[node].append((other, bond))
-                    stack.append((other, bond, iter(by_rank(other))))
+                    children[node].append((other, symbol))
+                    stack.append((other, node, iter(by_rank(other))))
                     break
-                if bond.pair not in back_pairs:
-                    back_pairs.add(bond.pair)
-                    closures[node].append((other, bond))
-                    closures[other].append((node, bond))
+                pair = (min(node, other), max(node, other))
+                if pair not in back_pairs:
+                    back_pairs.add(pair)
+                    closures[node].append((other, symbol, pair))
+                    closures[other].append((node, symbol, pair))
             else:
                 stack.pop()
 
@@ -449,22 +446,22 @@ def write(graph: MolGraph) -> str:
                 emitted.append(node)
                 continue
             emitted.append(_atom_token(graph.atoms[node], aromatic[node]))
-            for other, bond in sorted(closures[node], key=lambda ob: ranks[ob[0]]):
-                if bond.pair not in marker_of:
+            for other, symbol, pair in sorted(closures[node], key=lambda c: ranks[c[0]]):
+                if pair not in marker_of:
                     if not free:
                         raise ValueError("more than 99 concurrent ring closures")
-                    marker_of[bond.pair] = free.pop(0)
-                    emitted.append(bond_symbol(bond) + digit_token(marker_of[bond.pair]))
+                    marker_of[pair] = free.pop(0)
+                    emitted.append(symbol + digit_token(marker_of[pair]))
                 else:
-                    number = marker_of.pop(bond.pair)
+                    number = marker_of.pop(pair)
                     free.append(number)
                     free.sort()
                     emitted.append(digit_token(number))
             kids = children[node]
             subtree: list[int | str] = []
-            for other, bond in kids[:-1]:
-                subtree += ["(" + bond_symbol(bond), other, ")"]
-            for other, bond in kids[-1:]:
-                subtree += [bond_symbol(bond), other]
+            for other, symbol in kids[:-1]:
+                subtree += ["(" + symbol, other, ")"]
+            for other, symbol in kids[-1:]:
+                subtree += [symbol, other]
             work.extend(reversed(subtree))
     return "".join(emitted)

@@ -277,12 +277,12 @@ class TestCascadeCommand:
 
 class TestLogging:
     def test_env_sets_level(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOLGRAPH_LOG", "INFO")
+        monkeypatch.setenv("DETMOL_LOG", "INFO")
         assert run("fingerprint", "C") == 0
         assert logging.getLogger("detmol").level == logging.INFO
 
     def test_bad_level_falls_back(self, monkeypatch):
-        monkeypatch.setenv("MOLGRAPH_LOG", "LOUD")
+        monkeypatch.setenv("DETMOL_LOG", "LOUD")
         assert run("fingerprint", "C") == 0
         assert logging.getLogger("detmol").level == logging.WARNING
 

@@ -1,21 +1,110 @@
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from detmol import Atom, Bond, MolGraph, RepairError
 from detmol.entities import ATOM_CLASSES
 from detmol.molgraph import (
-    DEFAULT_VALENCES, WILDCARD, allowed_valences, bond_order_sum,
+    DEFAULT_VALENCES, ORDER_VALUE, WILDCARD, ChemProblem, allowed_valences,
     detect_problems, implicit_hydrogens, isomorphic, match_order, repair,
 )
 from detmol.smiles import parse
 from conftest import brute_force_isomorphic, permute_graph, random_molecule
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def chain(*elements, order="single"):
     atoms = tuple(Atom(e) for e in elements)
     bonds = tuple(Bond(i, i + 1, order) for i in range(len(elements) - 1))
     return MolGraph(atoms, bonds)
+
+
+def reference_implicit_hydrogens(graph: MolGraph, index: int) -> int:
+    """implicit_hydrogens for one atom, its bond-order sum taken over a scan
+    of every bond.  The oracle for the one-pass version."""
+    atom = graph.atoms[index]
+    valences = allowed_valences(atom.element, atom.formal_charge)
+    if valences is None:
+        return 0
+    occupied = math.ceil(sum(ORDER_VALUE[b.order] for b in graph.bonds if index in b.pair))
+    fitting = [v for v in valences if v >= occupied]
+    target = min(fitting) if fitting else max(valences)
+    return max(0, target - occupied)
+
+
+def reference_detect_problems(graph: MolGraph) -> list[ChemProblem]:
+    """detect_problems over per-atom lists of Bond objects, with the valence
+    verdict written out.  The oracle for the neighbour-row version."""
+    problems = []
+    for i, atom in enumerate(graph.atoms):
+        incident = [b for b in graph.bonds if i in b.pair]
+        order_sum = sum(ORDER_VALUE[b.order] for b in incident)
+        valences = allowed_valences(atom.element, atom.formal_charge)
+        if valences is not None and math.ceil(order_sum) > max(valences):
+            problems.append(ChemProblem(i, order_sum, max(valences), "valence"))
+            continue
+        n_aromatic = sum(1 for b in incident if b.order == "aromatic")
+        if n_aromatic == 1:
+            problems.append(ChemProblem(i, float(n_aromatic), 2.0, "aromatic"))
+    return problems
+
+
+def overloaded(rng, graph: MolGraph) -> MolGraph:
+    """The graph with up to three extra bonds of random order, so that some
+    atoms break their valence."""
+    present = {b.pair for b in graph.bonds}
+    absent = [
+        (u, v) for u in range(graph.n_atoms) for v in range(u + 1, graph.n_atoms)
+        if (u, v) not in present
+    ]
+    extra = rng.sample(absent, min(3, len(absent)))
+    return MolGraph(graph.atoms, graph.bonds + tuple(
+        Bond(u, v, rng.choice(sorted(ORDER_VALUE))) for u, v in extra
+    ))
+
+
+class TestValenceOracles:
+    """implicit_hydrogens and detect_problems agree with the reference
+    implementations above."""
+
+    CHARGED_AND_WILDCARD = [
+        "C[N+](C)(C)C", "C[N+](C)(C)(C)C", "C=[N+](C)C", "CC(=O)[O-]",
+        "C[O-]", "C[O+](C)C", "C[P+](C)(C)C", "C[P+](C)(C)(C)(C)(C)C",
+        "[O-][N+](=O)c1ccccc1", "C[N-]C", "[P-2](C)C", "*C(*)=O",
+        "*c1ccccc1", "C*(C)(C)(C)(C)C", "[N+]#C", "*:C", "O=[N+]=O",
+    ]
+
+    @staticmethod
+    def check(graph: MolGraph) -> None:
+        assert implicit_hydrogens(graph) == [
+            reference_implicit_hydrogens(graph, i) for i in range(graph.n_atoms)
+        ]
+        assert detect_problems(graph) == reference_detect_problems(graph)
+
+    def test_random_molecules_and_permutations(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_molecule(rng)
+            for h in (g, permute_graph(rng, g)[0], overloaded(rng, g)):
+                self.check(h)
+
+    def test_bench_molecules(self):
+        for name in ("druglike.tsv", "symmetric_salts.tsv"):
+            for line in (BENCH / name).read_text(encoding="utf-8").splitlines():
+                if line and not line.startswith("#"):
+                    self.check(parse(line.split("\t")[1]))
+
+    def test_charged_and_wildcard_atoms(self):
+        flagged = 0
+        for text in self.CHARGED_AND_WILDCARD:
+            g = parse(text)
+            self.check(g)
+            flagged += bool(detect_problems(g))
+        # some of these break their valence, so the verdict is exercised
+        assert 0 < flagged < len(self.CHARGED_AND_WILDCARD)
 
 
 class TestValences:
@@ -132,40 +221,40 @@ class TestRepair:
 class TestImplicitHydrogens:
     def test_carbon_chain(self):
         g = chain("C", "C", "O")
-        assert [implicit_hydrogens(g, i) for i in range(3)] == [3, 2, 1]
+        assert implicit_hydrogens(g) == [3, 2, 1]
 
     def test_smallest_fitting_valence(self):
         # S with two single bonds: 2 fits, so no hydrogens
         atoms = (Atom("S"), Atom("C"), Atom("C"))
         bonds = (Bond(0, 1, "single"), Bond(0, 2, "single"))
-        assert implicit_hydrogens(MolGraph(atoms, bonds), 0) == 0
+        assert implicit_hydrogens(MolGraph(atoms, bonds))[0] == 0
 
     def test_steps_to_next_valence(self):
         # S with three single bonds: 2 < 3 so 4 applies, one H left
         atoms = (Atom("S"), Atom("C"), Atom("C"), Atom("C"))
         bonds = tuple(Bond(0, i, "single") for i in range(1, 4))
-        assert implicit_hydrogens(MolGraph(atoms, bonds), 0) == 1
+        assert implicit_hydrogens(MolGraph(atoms, bonds))[0] == 1
 
     def test_overflow_clamps_to_zero(self):
         atoms = (Atom("S"),) + tuple(Atom("C") for _ in range(7))
         bonds = tuple(Bond(0, i, "single") for i in range(1, 8))
-        assert implicit_hydrogens(MolGraph(atoms, bonds), 0) == 0
+        assert implicit_hydrogens(MolGraph(atoms, bonds))[0] == 0
 
     def test_aromatic_carbon(self):
         atoms = tuple(Atom("C") for _ in range(6))
         bonds = tuple(Bond(i, (i + 1) % 6, "aromatic") for i in range(6))
         g = MolGraph(atoms, bonds)
-        assert implicit_hydrogens(g, 0) == 1
+        assert implicit_hydrogens(g)[0] == 1
 
     def test_charged(self):
         g = MolGraph((Atom("O", -1), Atom("C")), (Bond(0, 1, "single"),))
-        assert implicit_hydrogens(g, 0) == 0
+        assert implicit_hydrogens(g)[0] == 0
         g2 = MolGraph((Atom("N", 1), Atom("C")), (Bond(0, 1, "single"),))
-        assert implicit_hydrogens(g2, 0) == 3
+        assert implicit_hydrogens(g2)[0] == 3
 
     def test_wildcard_never_gets_hydrogens(self):
         g = MolGraph((Atom("*"), Atom("C")), (Bond(0, 1, "single"),))
-        assert implicit_hydrogens(g, 0) == 0
+        assert implicit_hydrogens(g)[0] == 0
 
 
 class TestMatchOrder:
