@@ -470,29 +470,65 @@ def _layout(graph: MolGraph) -> list[tuple[float, float]]:
 
 
 def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
+    """Cells of a depth-first placement in breadth-first atom order.
+
+    A component's root tries cells on row 0, four columns apart, from four
+    columns past the largest ``q`` placed so far; every other atom tries the
+    six cells around its parent.  A component of m atoms lies within m - 1
+    columns of its root, so from m - 4 columns past that first root cell on,
+    it can meet no earlier cell: it is alone on the lattice.  Strict mode
+    skips every choice that a lattice automorphism, fixing each placed cell
+    the component can meet, maps onto a sibling already refuted:
+
+    1. a root tries its cells up to its first out-of-reach one, which for the
+       first component is its first cell, since out-of-reach root cells are
+       translations of one another; once that cell is refuted, the search
+       ends with no layout;
+    2. the first neighbour of an out-of-reach root tries one of its six
+       cells, since the rotations and reflections about the root map them
+       onto one another;
+    3. while every placed cell lies on row 0, a cell ``(q, r)`` is dropped
+       when its mirror image across that row, ``(q + r, -r)``, came earlier
+       in the same choice list.
+
+    A skipped subtree is the image of a refuted one, so it holds no layout
+    either, and the search meets the layouts it keeps in the same order: the
+    first layout is unchanged and the step count can only fall.  The image
+    map is not a symmetry of the whole search, because a later component's
+    root cells depend on the largest ``q`` placed.  But a later component
+    always has an out-of-reach root cell, so it can be placed whenever it has
+    a strict embedding of its own, wherever the earlier components lie.
+    Whether a subtree holds a layout thus does not depend on what the map
+    changes, and a refuted out-of-reach root means that some component has
+    no strict embedding at all.
+    """
     n = graph.n_atoms
     nbrs = neighbours(graph)
     order: list[int] = []
     parents: list[int | None] = []
+    sizes: dict[int, int] = {}  # atom count of the component rooted at order[k]
     seen = [False] * n
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = True
+        start = head = len(order)
         order.append(root)
         parents.append(None)
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
+        while head < len(order):
+            node = order[head]
+            head += 1
             for other, _ in nbrs[node]:
                 if not seen[other]:
                     seen[other] = True
                     order.append(other)
                     parents.append(node)
-                    queue.append(other)
+        sizes[start] = len(order) - start
 
     cells: dict[int, tuple[int, int]] = {}
     occupied: set[tuple[int, int]] = set()
+    alone: dict[int, tuple[int, int]] = {}  # root k -> its out-of-reach cell
+    off_row = 0  # placed cells off row 0, for rule 3
     steps = 0
     # depth-first search; tries[k] iterates the cells left to try for
     # order[k].  Each descent counts one step against the budget, the one
@@ -510,6 +546,12 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
         if parent is None:
             base = max((q for q, _ in occupied), default=-4) + 4
             choices = [(base + d, 0) for d in range(0, 4 * n, 4)]
+            if strict:
+                # rule 1: the first root cell at least sizes[k] - 4 columns
+                # past base is out of reach
+                clear = -(-(sizes[k] - 4) // 4) if occupied else 0
+                choices = choices[:max(clear, 0) + 1]
+                alone[k] = choices[-1]
         else:
             pq, pr = cells[parent]
             placed_mates = [cells[j] for j, _ in nbrs[atom] if j in cells]
@@ -521,6 +563,13 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
                     cell for cell in choices
                     if all(_axial_adjacent(cell, mate) for mate in placed_mates)
                 ]
+                if parents[k - 1] is None and cells[parent] == alone[k - 1]:
+                    choices = choices[:1]  # rule 2
+                elif not off_row:  # rule 3
+                    choices = [
+                        (q, r) for i, (q, r) in enumerate(choices)
+                        if (q + r, -r) not in choices[:i]
+                    ]
             else:
                 choices.sort(key=lambda cell: -sum(
                     1 for mate in placed_mates if _axial_adjacent(cell, mate)
@@ -531,15 +580,19 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
                 if cell not in occupied:
                     break
             else:
+                # rule 1: a root out of cells had its out-of-reach one refuted
+                if k == 0 or (strict and parents[k] is None):
+                    raise LayoutError("no lattice embedding found")
                 tries.pop()
                 k -= 1
-                if k < 0:
-                    raise LayoutError("no lattice embedding found")
-                occupied.discard(cells.pop(order[k]))
+                cell = cells.pop(order[k])
+                occupied.discard(cell)
+                off_row -= cell[1] != 0
                 continue
             break
         cells[order[k]] = cell
         occupied.add(cell)
+        off_row += cell[1] != 0
         k += 1
     return [_axial_to_pixel(*cells[i]) for i in range(n)]
 

@@ -178,25 +178,35 @@ def average_precision(detections, references, iou_threshold: float) -> float:
     if not references:
         raise MetricsError("average_precision needs at least one reference box")
     ranked = sorted(range(len(detections)), key=lambda k: (-detections[k].score, k))
-    flags = _match_flags(
-        [(0, detections[k].box) for k in ranked], {0: references}, iou_threshold
-    )
-    return _ap_from_flags(flags, len(references))
+    overlaps = _overlaps([(0, detections[k].box) for k in ranked], {0: references})
+    return _ap_from_flags(_match_flags(overlaps, iou_threshold), len(references))
 
 
-def _match_flags(ranked, refs_by_image: dict, iou_threshold: float) -> list[bool]:
-    """Greedy matching of ranked (image, box) detections, each to the unmatched
-    reference box of its own image with the highest IoU; True per match."""
-    matched: dict = {image: set() for image in refs_by_image}
-    flags: list[bool] = []
+def _overlaps(ranked, refs_by_image: dict) -> list[tuple]:
+    """Per ranked (image, box) detection, its image and the (j, IoU) pairs of
+    the reference boxes of that image it overlaps, in reference order."""
+    rows = []
     for image, box in ranked:
-        taken = matched[image]
-        best_iou, best_j = 0.0, -1
+        row = []
         for j, ref_box in enumerate(refs_by_image[image]):
-            if j in taken:
-                continue
             overlap = iou(box, ref_box)
-            if overlap > best_iou:
+            if overlap > 0.0:
+                row.append((j, overlap))
+        rows.append((image, row))
+    return rows
+
+
+def _match_flags(overlaps: list[tuple], iou_threshold: float) -> list[bool]:
+    """Greedy matching of ranked detections, given by their `_overlaps` rows,
+    each to the unmatched reference box of its own image with the highest
+    IoU; True per match."""
+    matched: dict = {}
+    flags: list[bool] = []
+    for image, row in overlaps:
+        taken = matched.setdefault(image, set())
+        best_iou, best_j = 0.0, -1
+        for j, overlap in row:
+            if overlap > best_iou and j not in taken:
                 best_iou, best_j = overlap, j
         if best_j >= 0 and best_iou >= iou_threshold:
             taken.add(best_j)
@@ -252,9 +262,10 @@ def mean_average_precision(
                 if det.class_id == class_id:
                     pooled.append((-det.score, image_order, det_index, image_id, det.box))
         pooled.sort(key=lambda item: item[:3])
-        ranked = [(image_id, box) for *_, image_id, box in pooled]
+        overlaps = _overlaps([(image_id, box) for *_, image_id, box in pooled],
+                             refs_by_image)
         threshold_aps = [
-            _ap_from_flags(_match_flags(ranked, refs_by_image, threshold), n_ref)
+            _ap_from_flags(_match_flags(overlaps, threshold), n_ref)
             for threshold in thresholds
         ]
         class_means.append(sum(threshold_aps) / len(threshold_aps))

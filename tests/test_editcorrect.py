@@ -1,20 +1,30 @@
 import hashlib
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import detmol
 from detmol import (
-    Atom, Bond, EditOp, EditScript, MolGraph, ProjectionError, apply_op,
-    apply_script, construct, detect_problems, edit_correct, isomorphic, parse,
-    plant_errors, project_pseudo_labels,
+    Atom, Bond, EditOp, EditScript, LayoutError, MolGraph, ProjectionError,
+    apply_op, apply_script, construct, detect_problems, edit_correct,
+    isomorphic, parse, plant_errors, project_pseudo_labels,
 )
+from detmol.editcorrect import (
+    _AXIAL_STEPS, _axial_adjacent, _axial_to_pixel, _layout_cells,
+)
+from detmol.molgraph import neighbours
 from detmol.entities import (
     CHANNEL_KINDS, BBox, DetBox, EntityChannel, write_label_file,
 )
 from conftest import random_molecule
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # (reference, planted edits, planting seed, repr of each op of the script
 # edit_correct returns at k_max 3, or None for a rejection); each repr is
@@ -555,3 +565,222 @@ class TestGoldenLabels:
         kinds = {k for _, ops, _ in found for k in ops.split()}
         assert {"insert_bond", "insert_atom", "insert_atom+bond", "delete_atom",
                 "delete_bond", "relabel_atom", "relabel_bond"} <= kinds
+
+
+def exhaustive_layout(
+    graph: MolGraph, strict: bool, budget: int
+) -> list[tuple[float, float]]:
+    """The lattice placement search without symmetry pruning, kept verbatim
+    but for its step budget as the oracle for _layout_cells."""
+    n = graph.n_atoms
+    nbrs = neighbours(graph)
+    order: list[int] = []
+    parents: list[int | None] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        parents.append(None)
+        queue = [root]
+        while queue:
+            node = queue.pop(0)
+            for other, _ in nbrs[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    order.append(other)
+                    parents.append(node)
+                    queue.append(other)
+
+    cells: dict[int, tuple[int, int]] = {}
+    occupied: set[tuple[int, int]] = set()
+    steps = 0
+    # depth-first search; tries[k] iterates the cells left to try for
+    # order[k].  Each descent counts one step against the budget, the one
+    # that finds every atom placed included.
+    tries: list = []
+    k = 0
+    while True:
+        steps += 1
+        if steps > budget:
+            raise LayoutError("placement search budget exhausted")
+        if k == len(order):
+            break
+        atom = order[k]
+        parent = parents[k]
+        if parent is None:
+            base = max((q for q, _ in occupied), default=-4) + 4
+            choices = [(base + d, 0) for d in range(0, 4 * n, 4)]
+        else:
+            pq, pr = cells[parent]
+            placed_mates = [cells[j] for j, _ in nbrs[atom] if j in cells]
+            choices = [(pq + dq, pr + dr) for dq, dr in _AXIAL_STEPS]
+            if strict:
+                # every bond must land on a unit lattice edge, otherwise its
+                # box would span other atoms and endpoint search can misroute
+                choices = [
+                    cell for cell in choices
+                    if all(_axial_adjacent(cell, mate) for mate in placed_mates)
+                ]
+            else:
+                choices.sort(key=lambda cell: -sum(
+                    1 for mate in placed_mates if _axial_adjacent(cell, mate)
+                ))
+        tries.append(iter(choices))
+        while True:
+            for cell in tries[k]:
+                if cell not in occupied:
+                    break
+            else:
+                tries.pop()
+                k -= 1
+                if k < 0:
+                    raise LayoutError("no lattice embedding found")
+                occupied.discard(cells.pop(order[k]))
+                continue
+            break
+        cells[order[k]] = cell
+        occupied.add(cell)
+        k += 1
+    return [_axial_to_pixel(*cells[i]) for i in range(n)]
+
+
+def _outcome(search, graph, strict, *budget):
+    try:
+        return search(graph, strict, *budget)
+    except LayoutError as exc:
+        return str(exc)
+
+
+def _disjoint_union(parts):
+    atoms, bonds = [], []
+    for part in parts:
+        bonds += [replace(b, u=b.u + len(atoms), v=b.v + len(atoms)) for b in part.bonds]
+        atoms += part.atoms
+    return MolGraph(tuple(atoms), tuple(bonds))
+
+
+# graphs with no strict lattice embedding; the unpruned search takes 0.1 s
+# (the third) to over 6 s (the second) to prove it, past its budget on all
+# but the third
+NO_EMBEDDING = [
+    "CC1(C)C2CCC1(C)C(=O)C2",  # camphor
+    "Brc1c(C)c(C)c2c(Br)c1ON2",
+    "CS1c2ccc(c1c2N)Cl",
+    "Cc1cc(C)c2CCc1c2I",
+]
+
+
+class TestLayoutPruning:
+    """The symmetry-pruned placement against the unpruned oracle."""
+
+    def check(self, graph):
+        for strict in (True, False):
+            want = _outcome(exhaustive_layout, graph, strict, 20000)
+            got = _outcome(_layout_cells, graph, strict)
+            if want == "placement search budget exhausted":
+                # pruning only ends sooner, with a proof where the oracle gave
+                # up; a layout here would change what _layout returns
+                assert isinstance(got, str), graph
+            else:
+                assert got == want, graph
+
+    def test_bench_rows(self):
+        for name in ("druglike.tsv", "symmetric_salts.tsv"):
+            for line in (BENCH / name).read_text(encoding="utf-8").splitlines():
+                if line and not line.startswith("#"):
+                    self.check(parse(line.split("\t")[1]))
+
+    def test_random_molecules(self):
+        rng = random.Random(8)
+        for _ in range(1000):
+            self.check(random_molecule(rng))
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(81)
+        ions = [parse(text) for text in ("O", "Cl", "[NH4+]")]
+        for _ in range(200):
+            parts = [random_molecule(rng, max_heavy=8)
+                     for _ in range(rng.randint(1, 2))]
+            parts += rng.choices(ions, k=rng.randint(1, 3))
+            rng.shuffle(parts)
+            self.check(_disjoint_union(parts))
+
+    @pytest.mark.parametrize("smiles", NO_EMBEDDING)
+    def test_no_embedding_is_proved(self, smiles):
+        graph = parse(smiles)
+        with pytest.raises(LayoutError, match="no lattice embedding found"):
+            _layout_cells(graph, strict=True)
+
+    def test_component_within_reach_of_an_earlier_one(self):
+        # a rigid strip of triangles two rows high, nine cells long, rooted
+        # two cells from its right end.  Drawn with the root's first
+        # neighbour to its right, it runs back over the cells of CCCC, so
+        # the first neighbour turns; a hexagonal patch of radius 4 rooted at
+        # its centre meets CCCC however it is turned, so its root moves on
+        strip = [(0, 0), (1, 0)] + [(q, 0) for q in range(-6, 0)] + [
+            (2, 0)] + [(q, -1) for q in range(-5, 4)]
+        patch = [(0, 0)] + [
+            (q, r) for q in range(-4, 5) for r in range(-4, 5)
+            if 0 < max(abs(q), abs(r), abs(q + r)) <= 4
+        ]
+        for cells in (strip, patch):
+            index = {cell: i for i, cell in enumerate(cells)}
+            bonds = sorted(
+                (i, index[q + dq, r + dr]) for i, (q, r) in enumerate(cells)
+                for dq, dr in _AXIAL_STEPS if index.get((q + dq, r + dr), -1) > i
+            )
+            shape = MolGraph(tuple(Atom("C") for _ in cells),
+                             tuple(Bond(u, v, "single") for u, v in bonds))
+            graph = _disjoint_union([parse("CCCC"), shape])
+            want = exhaustive_layout(graph, True, 20000)
+            assert _layout_cells(graph, strict=True) == want
+            # the first cells of the root and its first neighbour fail
+            assert (want[4], want[5]) != ((420, 0), (480, 0))
+
+    @pytest.mark.parametrize("smiles", [
+        "CC1(C)C2CCC1(C)C(=O)C2.O", "O.CC1(C)C2CCC1(C)C(=O)C2",
+        "CCCC.CC1(C)C2CCC1(C)C(=O)C2",
+    ])
+    def test_no_embedding_beside_another_component(self, smiles):
+        # the unpruned search re-proves camphor's refusal at every root cell
+        # and under every placement of the other component
+        graph = parse(smiles)
+        with pytest.raises(LayoutError, match="no lattice embedding found"):
+            _layout_cells(graph, strict=True)
+        assert _outcome(exhaustive_layout, graph, True, 20000) == (
+            "placement search budget exhausted")
+
+    def test_oracle_agrees_on_camphor(self):
+        graph = parse(NO_EMBEDDING[0])
+        assert _outcome(exhaustive_layout, graph, True, 10 ** 6) == (
+            "no lattice embedding found")
+
+    def test_renders_in_bounded_time(self):
+        # each render first proves that no strict layout exists.  Camphor's
+        # lax layout does not re-construct it, alone or beside another
+        # component, so its render is refused; the lax layouts of the other
+        # three graphs re-construct them.
+        script = (
+            "from detmol import LayoutError, construct, isomorphic, parse, plant_errors\n"
+            "refused = ['CC1(C)C2CCC1(C)C(=O)C2', 'CC1(C)C2CCC1(C)C(=O)C2.O',\n"
+            "           'CCCC.CC1(C)C2CCC1(C)C(=O)C2']\n"
+            f"drawn = {NO_EMBEDDING[1:]!r}\n"
+            "for seed in range(3):\n"
+            "    for text in refused:\n"
+            "        try:\n"
+            "            plant_errors(parse(text), 1, seed)\n"
+            "        except LayoutError:\n"
+            "            continue\n"
+            "        raise AssertionError(text)\n"
+            "    for text in drawn:\n"
+            "        truth = parse(text)\n"
+            "        assert isomorphic(construct(plant_errors(truth, 0, seed)), truth), text\n"
+        )
+        src = str(Path(detmol.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={"PYTHONPATH": src},
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
