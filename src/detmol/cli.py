@@ -10,7 +10,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .constructor import ConstructorParams, construct
@@ -133,8 +132,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     common.add_argument("--strict", action="store_true",
                         help="exit 1 if any image fails")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for construct and cascade; "
-                             "output order is preserved")
+                        help="worker threads for cascade, whose command "
+                             "experts wait on child processes; output order "
+                             "is preserved. Other commands run one image at "
+                             "a time: their work is pure Python, which "
+                             "threads only slow down by contending for the "
+                             "interpreter lock")
     constructor = argparse.ArgumentParser(add_help=False)
     constructor.add_argument("--atom-merge-iou", type=float, default=0.5)
     constructor.add_argument("--edge-expand-step", type=float, default=5.0)
@@ -216,13 +219,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     return parser, children
 
 
-def _ordered_map(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_rows(out: str, rows: dict[str, str]) -> None:
     if out == "-":
         for image_id, value in rows.items():
@@ -268,20 +264,16 @@ def _read_manifest_or_die(path: str) -> dict[str, str]:
 def _cmd_construct(args) -> int:
     params = _constructor_params(args)
     root = Path(args.detections)
-    image_ids = _detection_ids(args)
-
-    def one(image_id: str):
-        dropped = []
-        try:
-            entities = read_entity_set(root, image_id)
-            graph = construct(entities, params, dropped)
-            return image_id, write(graph), dropped, None
-        except (LabelFileError, RepairError, ValueError) as exc:
-            return image_id, "", dropped, exc
-
     failures = 0
     rows = {}
-    for image_id, smiles, dropped, error in _ordered_map(one, image_ids, args.jobs):
+    for image_id in _detection_ids(args):
+        dropped = []
+        error = None
+        try:
+            entities = read_entity_set(root, image_id)
+            smiles = write(construct(entities, params, dropped))
+        except (LabelFileError, RepairError, ValueError) as exc:
+            smiles, error = "", exc
         for warning in dropped:
             log.warning("%s", warning.format())
         if error is not None:
@@ -388,11 +380,17 @@ def _cmd_cascade(args) -> int:
         except NoPredictionError as exc:
             return None, exc
 
+    if args.jobs > 1:
+        # threads pay off here only because `command` experts wait on child
+        # processes; imported here so the other commands do not load it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(one, image_ids))
+    else:
+        outcomes = map(one, image_ids)
     failures = 0
     rows = {}
-    for image_id, (result, error) in zip(
-        image_ids, _ordered_map(one, image_ids, args.jobs)
-    ):
+    for image_id, (result, error) in zip(image_ids, outcomes):
         if error is not None:
             log.error("%s", error)
             failures += 1

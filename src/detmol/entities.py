@@ -229,16 +229,19 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
     """Load `<root>/<image_id>/{atoms,bonds,charges,stereos}.csv`.
 
     A missing channel file is an empty channel; the detector may simply
-    have found nothing of that kind.
+    have found nothing of that kind.  So is every channel of an image whose
+    folder is missing or is not a directory.
     """
     base = Path(root) / image_id
     channels = {}
     for kind in CHANNEL_KINDS:
-        path = base / channel_filename(kind)
-        if path.exists():
-            channels[kind] = parse_label_file(path.read_text(), kind)
-        else:
+        try:
+            with open(base / channel_filename(kind)) as handle:
+                text = handle.read()
+        except (FileNotFoundError, NotADirectoryError):
             channels[kind] = empty_channel(kind)
+        else:
+            channels[kind] = parse_label_file(text, kind)
     return EntitySet(image_id, channels["atom"], channels["bond"],
                      channels["charge"], channels["stereo"])
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import logging
-import shlex
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,6 +111,11 @@ class ExpertAdapter:
         return write(graph)
 
     def _from_command(self, image_id: str) -> str:
+        # imported here: only command experts need them, and every detmol
+        # command would otherwise pay for loading them at start-up
+        import shlex
+        import subprocess
+
         tokens = shlex.split(self.source)
         if any("{image_id}" in tok for tok in tokens):
             tokens = [tok.replace("{image_id}", image_id) for tok in tokens]

@@ -1,8 +1,13 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import detmol
 from detmol import FpParams, ecfp, isomorphic, parse, read_manifest
 from detmol.cli import main
 
@@ -211,6 +216,7 @@ class TestPipeline:
         assert isomorphic(parse(smiles), parse("CCN"))
 
     def test_jobs_preserve_order(self, tmp_path):
+        # construct accepts --jobs and ignores it: it runs one image at a time
         labels = tmp_path / "labels"
         manifest = tmp_path / "in.tsv"
         manifest.write_text("imgA\tCCO\nimgB\tCCN\nimgC\tc1ccccc1\nimgD\tCC\n")
@@ -248,11 +254,18 @@ class TestCascadeCommand:
             "backup command /bin/sh -c 'echo CCN' {image_id}\n"
         )
         refs = tmp_path / "refs.tsv"
-        refs.write_text("img1\tCCO\nimg2\tCCN\n")
+        refs.write_text("img1\tCCO\nimg2\tCCN\nimg3\tCCN\nimg4\tCCN\n")
         out = tmp_path / "out.tsv"
         assert run("cascade", "--experts", str(cfg),
                    "--references", str(refs), "--out", str(out)) == 0
-        assert read_manifest(out) == {"img1": "CCO", "img2": "CCN"}
+        assert read_manifest(out) == {
+            "img1": "CCO", "img2": "CCN", "img3": "CCN", "img4": "CCN",
+        }
+        # cascade is the one command that runs images on a thread pool
+        threaded = tmp_path / "threaded.tsv"
+        assert run("cascade", "--experts", str(cfg), "--jobs", "3",
+                   "--references", str(refs), "--out", str(threaded)) == 0
+        assert threaded.read_text() == out.read_text()
 
     def test_all_experts_fail_strict(self, tmp_path):
         cfg = tmp_path / "experts.conf"
@@ -273,6 +286,30 @@ class TestCascadeCommand:
         cfg = tmp_path / "experts.conf"
         cfg.write_text("broken\n")
         assert run("cascade", "--experts", str(cfg), "--images", "x") == 2
+
+
+class TestStartup:
+    def test_cli_import_skips_pool_and_process_modules(self):
+        # only cascade uses these, and loading them costs every command;
+        # modules the interpreter loaded before the import (a site hook, say)
+        # are not held against detmol
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import detmol.cli\n"
+            "for name in ('concurrent.futures', 'subprocess', 'shlex'):\n"
+            "    if name in sys.modules and name not in before:\n"
+            "        print(name)\n"
+        )
+        src = str(Path(detmol.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
 
 
 class TestLogging:

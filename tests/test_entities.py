@@ -123,8 +123,13 @@ class TestEntitySetIO:
 
     def test_missing_files_are_empty_channels(self, tmp_path):
         (tmp_path / "m2").mkdir()
-        es = read_entity_set(tmp_path, "m2")
-        assert len(es.atoms) == 0 and len(es.stereos) == 0
+        (tmp_path / "m4").write_text("not a folder")
+        # an empty folder, no folder at all, and a file where the folder goes
+        for image_id in ("m2", "m3", "m4"):
+            es = read_entity_set(tmp_path, image_id)
+            assert es.image_id == image_id
+            for channel in (es.atoms, es.bonds, es.charges, es.stereos):
+                assert len(channel) == 0
 
     def test_channel_kind_slots_enforced(self):
         with pytest.raises(ValueError):
