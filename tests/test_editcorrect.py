@@ -16,9 +16,10 @@ from detmol import (
     isomorphic, parse, plant_errors, project_pseudo_labels,
 )
 from detmol.editcorrect import (
-    _AXIAL_STEPS, _axial_adjacent, _axial_to_pixel, _layout_cells,
+    _AXIAL_STEPS, _axial_adjacent, _axial_to_pixel, _histogram_gap, _labels,
+    _layout_cells, _search_mapping,
 )
-from detmol.molgraph import neighbours
+from detmol.molgraph import connected_order, match_order, neighbours
 from detmol.entities import (
     CHANNEL_KINDS, BBox, DetBox, EntityChannel, write_label_file,
 )
@@ -782,5 +783,276 @@ class TestLayoutPruning:
         done = subprocess.run(
             [sys.executable, "-c", script], env={"PYTHONPATH": src},
             capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+def exhaustive_search(
+    pred: MolGraph, ref: MolGraph, k_max: int
+) -> tuple[int, list[int]] | None:
+    """The edit search pruned by the label histogram alone, kept verbatim
+    as the oracle for _search_mapping."""
+    labels_p, labels_r = _labels(pred), _labels(ref)
+    orders_p = [match_order(b.order) for b in pred.bonds]
+    orders_r = [match_order(b.order) for b in ref.bonds]
+    lower = max(
+        _histogram_gap(labels_p, labels_r),
+        abs(len(orders_p) - len(orders_r)),
+        _histogram_gap(orders_p, orders_r),
+    )
+    if lower > k_max:
+        return None
+
+    n_pred, n_ref = pred.n_atoms, ref.n_atoms
+    nbrs_p = neighbours(pred)
+    rows_p = [dict(row) for row in nbrs_p]  # {neighbour: bond label}
+    rows_r = [dict(row) for row in neighbours(ref)]
+    ref_pairs = [b.pair for b in ref.bonds]
+    ids = {label: k for k, label in enumerate(dict.fromkeys(labels_p + labels_r))}
+    lab_p = [ids[x] for x in labels_p]
+    lab_r = [ids[x] for x in labels_r]
+    # label counts of the atoms not yet assigned, and their overlap
+    rem_p = [0] * len(ids)
+    rem_r = [0] * len(ids)
+    for x in lab_p:
+        rem_p[x] += 1
+    for x in lab_r:
+        rem_r[x] += 1
+    overlap = sum(map(min, rem_p, rem_r))
+    free_r = n_ref
+
+    order = connected_order(nbrs_p, lambda i: (-len(nbrs_p[i]), i))
+    mapping = [-2] * n_pred  # -2 unassigned, -1 delete, >= 0 ref index
+    ref_owner = [-1] * n_ref
+    # per depth: cost so far, next child to try (n_ref means delete), and
+    # the (ref image, bond label) of each assigned neighbour with the count
+    # of deleted ones
+    cost_at = [0] * n_pred
+    next_at = [0] * n_pred
+    fixed_at: list[tuple[list[tuple[int, str]], int]] = [([], 0)] * n_pred
+
+    def completion_cost() -> int:
+        missing = [s for s in range(n_ref) if ref_owner[s] < 0]
+        if not missing:
+            return 0
+        missing_set = set(missing)
+        incident = sum(
+            1 for pair in ref_pairs
+            if pair[0] in missing_set or pair[1] in missing_set
+        )
+        islands = 0
+        seen: set[int] = set()
+        for s in missing:
+            if s in seen:
+                continue
+            stack, anchored = [s], False
+            seen.add(s)
+            while stack:
+                node = stack.pop()
+                for other in rows_r[node]:
+                    if other in missing_set:
+                        if other not in seen:
+                            seen.add(other)
+                            stack.append(other)
+                    else:
+                        anchored = True
+            if not anchored:
+                islands += 1
+        return len(missing) + incident - (len(missing) - islands)
+
+    for budget in range(lower, k_max + 1):
+        if n_pred == 0:
+            total = completion_cost()
+            if total <= budget:
+                return total, []
+            continue
+        depth = 0
+        next_at[0] = 0
+        while depth >= 0:
+            i = order[depth]
+            a = lab_p[i]
+            r = mapping[i]
+            if r != -2:  # undo the child just left
+                mapping[i] = -2
+                rem_p[a] += 1
+                if rem_p[a] <= rem_r[a]:
+                    overlap += 1
+                if r >= 0:
+                    ref_owner[r] = -1
+                    free_r += 1
+                    b = lab_r[r]
+                    rem_r[b] += 1
+                    if rem_r[b] <= rem_p[b]:
+                        overlap += 1
+            placed, n_deleted = fixed_at[depth]
+            slack = budget - cost_at[depth] - n_deleted
+            row_i = rows_p[i]
+            r = next_at[depth]
+            child = -2
+            while r < n_ref:
+                if ref_owner[r] < 0:
+                    extra = a != lab_r[r]
+                    if extra <= slack:
+                        row_r = rows_r[r]
+                        for fj, code in placed:
+                            if row_r.get(fj) != code:
+                                extra += 1
+                        for s in row_r:
+                            j = ref_owner[s]
+                            if j >= 0 and j not in row_i:
+                                extra += 1
+                        if extra <= slack:
+                            child = r
+                            break
+                r += 1
+            if child == -2 and r == n_ref:
+                extra = 1 + len(placed)
+                if extra <= slack:
+                    child = -1
+            next_at[depth] = r + 1
+            if child == -2:
+                depth -= 1
+                continue
+            mapping[i] = child
+            if rem_p[a] <= rem_r[a]:
+                overlap -= 1
+            rem_p[a] -= 1
+            if child >= 0:
+                ref_owner[child] = i
+                free_r -= 1
+                b = lab_r[child]
+                if rem_r[b] <= rem_p[b]:
+                    overlap -= 1
+                rem_r[b] -= 1
+            cost = cost_at[depth] + n_deleted + extra
+            left = n_pred - depth - 1
+            # the label-histogram bound on the atoms still unassigned
+            if cost + (left if left > free_r else free_r) - overlap > budget:
+                continue
+            if left == 0:
+                total = cost + completion_cost()
+                if total <= budget:
+                    return total, mapping.copy()
+                continue
+            depth += 1
+            cost_at[depth] = cost
+            next_at[depth] = 0
+            j_placed, j_deleted = [], 0
+            for j, code in nbrs_p[order[depth]]:
+                fj = mapping[j]
+                if fj >= 0:
+                    j_placed.append((fj, code))
+                elif fj == -1:
+                    j_deleted += 1
+            fixed_at[depth] = (j_placed, j_deleted)
+    return None
+
+
+class TestSearchBound:
+    """The residual-degree bound against the histogram-only oracle."""
+
+    def check(self, pred, ref, k_max):
+        assert _search_mapping(pred, ref, k_max) == exhaustive_search(
+            pred, ref, k_max), (pred, ref, k_max)
+
+    def test_bench_rows(self):
+        for name in ("druglike.tsv", "symmetric_salts.tsv"):
+            for line in (BENCH / name).read_text(encoding="utf-8").splitlines():
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if fields[3].startswith("render"):
+                    continue
+                ref = parse(fields[1])
+                for n_edits in range(5):
+                    pred = construct(plant_errors(ref, n_edits, 7 * n_edits + 1))
+                    self.check(pred, ref, 3)
+
+    def plant(self, rng, ref):
+        # a small graph may take fewer than four edits
+        try:
+            return construct(plant_errors(ref, rng.randint(0, 4), rng.randrange(10 ** 6)))
+        except ValueError:
+            return None
+
+    def test_random_molecules(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            ref = random_molecule(rng)
+            pred = self.plant(rng, ref)
+            if pred is None:
+                continue
+            for k_max in (1, 3, 4):
+                self.check(pred, ref, k_max)
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(4)
+        ions = [parse(text) for text in ("O", "[Cl-]", "[NH4+]")]
+        for _ in range(100):
+            parts = [random_molecule(rng, max_heavy=8)
+                     for _ in range(rng.randint(1, 2))]
+            parts += rng.choices(ions, k=rng.randint(1, 3))
+            rng.shuffle(parts)
+            ref = _disjoint_union(parts)
+            pred = self.plant(rng, ref)
+            if pred is None:
+                continue
+            for k_max in (1, 3, 4):
+                self.check(pred, ref, k_max)
+
+    def test_atom_insertions_and_deletions(self):
+        # planting never inserts or deletes an atom; edit the graph directly
+        rng = random.Random(5)
+        for _ in range(300):
+            ref = pred = random_molecule(rng)
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.5 and pred.n_atoms > 1:
+                    x = rng.randrange(pred.n_atoms)
+                    for bond in [b for b in pred.bonds if x in b.pair]:
+                        pred = apply_op(pred, EditOp.delete_bond(bond.pair))
+                    pred = apply_op(pred, EditOp.delete_atom(x))
+                else:
+                    attach = rng.choice([None, rng.randrange(pred.n_atoms)])
+                    order = None if attach is None else "single"
+                    pred = apply_op(pred, EditOp.insert_atom(
+                        rng.choice("CNOS"), 0, attach, order))
+            for k_max in (1, 3, 4):
+                self.check(pred, ref, k_max)
+
+    @pytest.mark.parametrize("pred, ref, k_max, cost", [
+        # the inserted atom brings its bond: no bond insertion on top
+        ("CC", "CCC", 1, 1),
+        ("CC", "CC(C)C", 2, 2),
+        # an island brings no bond, and needs none
+        ("CC", "CC.[Cl-]", 1, 1),
+        ("CC", "CC.O.[NH4+]", 2, 2),
+        # the first atom searched is deleted with three bonds still pending
+        ("ClC(Cl)Cl", "Cl.Cl.Cl", 4, 4),
+    ])
+    def test_exact_cost_where_the_bound_is_tight(self, pred, ref, k_max, cost):
+        pred, ref = parse(pred), parse(ref)
+        found = edit_correct(pred, ref, k_max)
+        assert found.script.cost == cost
+        assert edit_correct(pred, ref, cost - 1) is None
+        self.check(pred, ref, k_max)
+
+    def test_corrects_in_bounded_time(self):
+        # the histogram bound sees nothing on a label-uniform chain; these
+        # five searches took 10-18 s with it alone
+        script = (
+            "from detmol import construct, edit_correct, parse, plant_errors\n"
+            "amide = parse('CC(C)Cc1ccc(cc1)C(C)C(=O)NCCN(CC)CCOc1ccc(Cl)cc1')\n"
+            "chain = parse('C' * 60)\n"
+            "cases = [(amide, 3, seed) for seed in (1, 2)]\n"
+            "cases += [(chain, 1, seed) for seed in (1, 2, 3)]\n"
+            "for ref, n_edits, seed in cases:\n"
+            "    pred = construct(plant_errors(ref, n_edits, seed))\n"
+            "    found = edit_correct(pred, ref, 3)\n"
+            "    assert found is not None and found.script.cost <= n_edits\n"
+        )
+        src = str(Path(detmol.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={"PYTHONPATH": src},
+            capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 0, done.stderr
