@@ -12,25 +12,27 @@ import os
 import sys
 from pathlib import Path
 
-from .constructor import ConstructorParams, construct
-from .editcorrect import (
-    LayoutError, ProjectionError, edit_correct, plant_errors,
-    project_pseudo_labels,
-)
-from .entities import LabelFileError, read_entity_set, write_entity_set
-from .experts import (
-    CascadeConfigError, NoPredictionError, cascade, load_cascade_config,
-    read_manifest, write_manifest,
-)
-from .fingerprint import FpParams, ecfp, tanimoto
-from .metrics import MetricsError, evaluate_dataset
-from .molgraph import RepairError
-from .smiles import SmilesError, parse, write
+# Each handler imports the detmol names it uses when it runs: the package
+# executes a submodule on its first use, so a command runs only the modules
+# it needs.
 
 log = logging.getLogger("detmol.cli")
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _config_bool(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"expected 1/0/true/false/yes/no, got {value!r}"
+        ) from None
+
+
 _CONFIG_TYPES = {
-    "strict": bool,
+    "strict": _config_bool,
     "jobs": int,
     "k_max": int,
     "radius": int,
@@ -117,10 +119,7 @@ def _load_config_defaults(argv: list[str]) -> dict:
         if caster is None:
             raise FatalCliError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            out[key] = (
-                value.lower() in ("1", "true", "yes") if caster is bool
-                else caster(value)
-            )
+            out[key] = caster(value)
         except ValueError as exc:
             raise FatalCliError(f"{path}: line {lineno}: {exc}") from exc
     return out
@@ -220,6 +219,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
 
 
 def _write_rows(out: str, rows: dict[str, str]) -> None:
+    from .entities import write_manifest
     if out == "-":
         for image_id, value in rows.items():
             sys.stdout.write(f"{image_id}\t{value}\n")
@@ -245,6 +245,7 @@ def _detection_ids(args) -> list[str]:
 
 
 def _constructor_params(args) -> ConstructorParams:
+    from .constructor import ConstructorParams
     try:
         return ConstructorParams(
             args.atom_merge_iou, args.edge_expand_step,
@@ -255,6 +256,7 @@ def _constructor_params(args) -> ConstructorParams:
 
 
 def _read_manifest_or_die(path: str) -> dict[str, str]:
+    from .entities import read_manifest
     try:
         return read_manifest(path)
     except (OSError, ValueError) as exc:
@@ -262,6 +264,10 @@ def _read_manifest_or_die(path: str) -> dict[str, str]:
 
 
 def _cmd_construct(args) -> int:
+    from .constructor import construct
+    from .entities import LabelFileError, read_entity_set
+    from .molgraph import RepairError
+    from .smiles import write
     params = _constructor_params(args)
     root = Path(args.detections)
     failures = 0
@@ -285,6 +291,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .entities import LabelFileError, read_entity_set
+    from .fingerprint import FpParams
+    from .metrics import MetricsError, evaluate_dataset
     predictions = _read_manifest_or_die(args.predictions)
     references = _read_manifest_or_die(args.references)
     if bool(args.pred_detections) != bool(args.ref_detections):
@@ -322,6 +331,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_edit_correct(args) -> int:
+    from .constructor import construct
+    from .editcorrect import ProjectionError, edit_correct, project_pseudo_labels
+    from .entities import LabelFileError, read_entity_set, write_entity_set
+    from .molgraph import RepairError
+    from .smiles import SmilesError, parse
     params = _constructor_params(args)
     references = _read_manifest_or_die(args.references)
     root = Path(args.detections)
@@ -363,6 +377,9 @@ def _cmd_edit_correct(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    from .experts import (
+        CascadeConfigError, NoPredictionError, cascade, load_cascade_config,
+    )
     try:
         experts = load_cascade_config(args.experts)
     except (OSError, CascadeConfigError) as exc:
@@ -382,7 +399,7 @@ def _cmd_cascade(args) -> int:
 
     if args.jobs > 1:
         # threads pay off here only because `command` experts wait on child
-        # processes; imported here so the other commands do not load it
+        # processes
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(one, image_ids))
@@ -404,6 +421,8 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    from .fingerprint import FpParams, ecfp, tanimoto
+    from .smiles import SmilesError, parse
     try:
         fp_params = FpParams(args.radius, args.nbits)
     except ValueError as exc:
@@ -440,6 +459,9 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .editcorrect import LayoutError, plant_errors
+    from .entities import write_entity_set, write_manifest
+    from .smiles import SmilesError, parse
     if bool(args.smiles) == bool(args.manifest):
         raise FatalCliError("give exactly one of --smiles or --manifest")
     if args.edits < 0:

@@ -1,4 +1,5 @@
-"""Bounding boxes, detection channels, and the label CSV file format."""
+"""Bounding boxes, detection channels, the label CSV file format, and the
+image_id<TAB>smiles manifest format."""
 
 from __future__ import annotations
 
@@ -254,3 +255,26 @@ def write_entity_set(root: str | Path, entity_set: EntitySet) -> Path:
         channel = getattr(entity_set, kind + "s")
         (base / channel_filename(kind)).write_text(write_label_file(channel))
     return base
+
+
+def read_manifest(path) -> dict[str, str]:
+    """TSV of image_id<TAB>smiles; the smiles field may be empty."""
+    out: dict[str, str] = {}
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t", 1)
+        image_id = parts[0].strip()
+        smiles = parts[1].strip() if len(parts) > 1 else ""
+        if not image_id:
+            raise ValueError(f"{path}: line {lineno}: empty image id")
+        if image_id in out:
+            raise ValueError(f"{path}: line {lineno}: duplicate image id {image_id!r}")
+        out[image_id] = smiles
+    return out
+
+
+def write_manifest(path, rows: dict[str, str]) -> None:
+    lines = [f"{image_id}\t{rows[image_id]}" for image_id in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructor import ConstructorParams, construct
-from .entities import LabelFileError, read_entity_set
+from .entities import (  # noqa: F401  (write_manifest is re-exported)
+    LabelFileError, read_entity_set, read_manifest, write_manifest,
+)
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
 
@@ -35,29 +37,6 @@ class CascadePrediction:
     smiles: str
     expert: str
     valid: bool
-
-
-def read_manifest(path) -> dict[str, str]:
-    """TSV of image_id<TAB>smiles; the smiles field may be empty."""
-    out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t", 1)
-        image_id = parts[0].strip()
-        smiles = parts[1].strip() if len(parts) > 1 else ""
-        if not image_id:
-            raise ValueError(f"{path}: line {lineno}: empty image id")
-        if image_id in out:
-            raise ValueError(f"{path}: line {lineno}: duplicate image id {image_id!r}")
-        out[image_id] = smiles
-    return out
-
-
-def write_manifest(path, rows: dict[str, str]) -> None:
-    lines = [f"{image_id}\t{rows[image_id]}" for image_id in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class ExpertAdapter:

@@ -106,6 +106,20 @@ class TestConfigFile:
     def test_config_flag_without_value_fatal(self):
         assert run("fingerprint", "C", "--config") == 2
 
+    @pytest.mark.parametrize("value, code", [
+        ("1", 1), ("TRUE", 1), ("yes", 1), ("0", 0), ("False", 0), ("NO", 0),
+        ("maybe", 2), ("2", 2),
+    ])
+    def test_boolean_values(self, tmp_path, value, code):
+        # a failing image exits 1 under strict and 0 without it; a value
+        # that is neither is a configuration error, not a silent false
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("img2\tC1CC\n")
+        cfg = tmp_path / "detmol.conf"
+        cfg.write_text(f"strict {value}\n")
+        assert run("fingerprint", "--config", str(cfg),
+                   "--manifest", str(manifest)) == code
+
 
 class TestFingerprint:
     def test_pair_identity(self, capsys):
@@ -288,28 +302,165 @@ class TestCascadeCommand:
         assert run("cascade", "--experts", str(cfg), "--images", "x") == 2
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter in a new process that imports this detmol."""
+    src = str(Path(detmol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+SUBMODULES = ["constructor", "editcorrect", "entities", "experts",
+              "fingerprint", "metrics", "molgraph", "smiles"]
+
+# prints the detmol submodules whose body has not run: a module still behind
+# its lazy loader is not of type ModuleType, and reading any attribute of it
+# would run it
+_UNEXECUTED = (
+    "import types\n"
+    "print(' '.join(sorted(name for name, module in sys.modules.items()\n"
+    "                      if name.startswith('detmol.')\n"
+    "                      and type(module) is not types.ModuleType)))\n"
+)
+
+
 class TestStartup:
     def test_cli_import_skips_pool_and_process_modules(self):
         # only cascade uses these, and loading them costs every command;
         # modules the interpreter loaded before the import (a site hook, say)
         # are not held against detmol
-        script = (
+        done = fresh_python("-c", (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import detmol.cli\n"
             "for name in ('concurrent.futures', 'subprocess', 'shlex'):\n"
             "    if name in sys.modules and name not in before:\n"
             "        print(name)\n"
-        )
-        src = str(Path(detmol.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=60,
-        )
+        ))
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+    def test_import_registers_every_submodule_unexecuted(self):
+        # the benchmark's tracer reads each submodule from sys.modules right
+        # after `import detmol`
+        done = fresh_python("-c", (
+            "import sys\n"
+            "import detmol\n" + _UNEXECUTED
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [f"detmol.{name}" for name in SUBMODULES]
+
+    def test_name_resolves_to_its_module(self):
+        done = fresh_python("-c", (
+            "import sys\n"
+            "import detmol\n"
+            "assert detmol.construct is detmol.constructor.construct\n"
+            "assert detmol.read_manifest is detmol.experts.read_manifest\n"
+            "assert sys.modules['detmol.smiles'] is detmol.smiles\n"
+        ))
+        assert done.returncode == 0, done.stderr
+
+    def test_threads_never_read_a_half_run_module(self):
+        # many threads touch unexecuted submodules at once, by package name,
+        # by submodule attribute and by import; a thread that reads a module
+        # whose body another thread is still running misses its names
+        done = fresh_python("-c", (
+            "import sys, threading\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "import detmol\n"
+            "def first_use(i):\n"
+            "    barrier.wait(10)\n"
+            "    try:\n"
+            "        if i % 3 == 0:\n"
+            "            detmol.edit_correct, detmol.score_pair\n"
+            "        elif i % 3 == 1:\n"
+            "            detmol.editcorrect.apply_op, detmol.metrics.type_counts\n"
+            "        else:\n"
+            "            from detmol.metrics import evaluate_dataset\n"
+            "            from detmol.editcorrect import plant_errors\n"
+            "    except Exception as exc:\n"
+            "        print(repr(exc))\n"
+            "barrier = threading.Barrier(8)\n"
+            "threads = [threading.Thread(target=first_use, args=(i,))\n"
+            "           for i in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(30)\n"
+            "print(sum(t.is_alive() for t in threads), 'alive')\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["0 alive"]
+
+    @pytest.mark.parametrize("argv, unexecuted", [
+        ("['construct', '--detections', root]",
+         ["detmol.editcorrect", "detmol.experts", "detmol.fingerprint",
+          "detmol.metrics"]),
+        ("['evaluate', '--predictions', manifest, '--references', manifest]",
+         ["detmol.constructor", "detmol.editcorrect", "detmol.experts"]),
+    ])
+    def test_command_runs_only_its_modules(self, tmp_path, argv, unexecuted):
+        manifest = tmp_path / "refs.tsv"
+        manifest.write_text("img1\tCCO\n")
+        done = fresh_python("-c", (
+            "import sys\n"
+            f"root, manifest = {str(tmp_path)!r}, {str(manifest)!r}\n"
+            "from detmol.cli import main\n"
+            f"assert main({argv}) == 0\n" + _UNEXECUTED
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == unexecuted
+
+
+class TestPublicApi:
+    NAMES = [
+        "ATOM_CLASSES", "Atom", "BBox", "BOND_CLASSES", "Bond",
+        "CHARGE_CLASSES", "CascadeConfigError", "CascadePrediction",
+        "ChemProblem", "ConstructorParams", "Correction",
+        "DEFAULT_IOU_THRESHOLDS", "DEFAULT_VALENCES", "DetBox", "DroppedBond",
+        "EditOp", "EditScript", "EntityChannel", "EntitySet", "ExpertAdapter",
+        "ExpertFailure", "Fingerprint", "FpParams", "LabelFileError",
+        "LayoutError", "MetricsError", "MetricsReport", "MolGraph",
+        "NoPredictionError", "ProjectionError", "RepairError",
+        "STEREO_CLASSES", "SmilesError", "allowed_valences", "apply_op",
+        "apply_script", "assign_charges", "assign_stereo",
+        "average_precision", "bond_endpoints", "canonical_ranks", "cascade",
+        "construct", "detect_problems", "ecfp", "edit_correct",
+        "empty_channel", "evaluate_dataset", "filter_atoms", "filter_cands",
+        "implicit_hydrogens", "iou", "is_chemically_valid", "isomorphic",
+        "load_cascade_config", "mean_average_precision", "parse",
+        "parse_label_file", "plant_errors", "project_pseudo_labels",
+        "read_entity_set", "read_manifest", "repair", "score_pair",
+        "tanimoto", "type_counts", "write", "write_entity_set",
+        "write_label_file", "write_manifest",
+    ]
+
+    def test_all_is_unchanged(self):
+        assert len(self.NAMES) == 70
+        assert sorted(detmol.__all__) == self.NAMES
+
+    def test_every_name_resolves_and_is_listed(self):
+        listed = dir(detmol)
+        for name in self.NAMES:
+            assert getattr(detmol, name) is not None
+            assert name in listed
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from detmol import *", namespace)
+        assert set(self.NAMES) <= set(namespace)
+        assert namespace["construct"] is detmol.constructor.construct
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            detmol.no_such_name  # noqa: B018
+
+    def test_module_run_gives_no_warning(self):
+        # runpy warns when the module it runs is in sys.modules already
+        done = fresh_python("-W", "error", "-m", "detmol.cli", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "usage: detmol" in done.stdout
 
 
 class TestLogging:
