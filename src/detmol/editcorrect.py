@@ -92,7 +92,8 @@ class EditScript:
 
 @dataclass(frozen=True)
 class Correction:
-    """A minimum edit script and the graph it produces."""
+    """A minimum edit script and the graph it produces from pred, which
+    keeps pred's boxes on every atom and bond the script kept."""
 
     script: EditScript
     graph: MolGraph
@@ -185,7 +186,8 @@ def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | 
     its own op, so the insertions the histogram forces anyway carry that
     many of them; `_search_mapping` gives the argument.  With k_max 0 this
     degenerates to an isomorphism test.  Returns None when no script of
-    cost <= k_max exists.
+    cost <= k_max exists.  The one check is on the script: its length must
+    equal the search cost, and applied to pred it must reach ref.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -747,23 +749,32 @@ def _entity_set(graph: MolGraph, image_id: str) -> EntitySet:
     )
 
 
-def _apply_boxed(graph: MolGraph, op: EditOp, bond_box, atom_box=None) -> MolGraph:
-    """apply_op on a graph whose atoms and bonds carry their source boxes.
+def _box_insertions(graph: MolGraph, ops, bond_box) -> MolGraph:
+    """Box what ops inserted into graph, which apply_op made from them.
 
-    Only what the op inserts lacks a box: an inserted atom gets
-    `atom_box(boxes)` of the atom boxes before it, an inserted bond
-    `bond_box(u_box, v_box)` of its endpoints' boxes.
+    apply_op keeps every other box and appends what it inserts, so the k-th
+    atom without a box is the k-th insert_atom op's; it gets
+    `_synthesize_atom_box` of the boxes before it.  A bond without a box gets
+    `bond_box(u_box, v_box)`.  ProjectionError when what lacks a box is not
+    what ops inserted, or an attachment is out of range.
     """
-    graph = apply_op(graph, op)
-    atoms, bonds = graph.atoms, graph.bonds
-    if atoms and atoms[-1].source_box is None:
-        box = atom_box([a.source_box for a in atoms[:-1]])
-        atoms = atoms[:-1] + (replace(atoms[-1], source_box=box),)
-    if bonds and bonds[-1].source_box is None:
-        last = bonds[-1]
-        box = bond_box(atoms[last.u].source_box, atoms[last.v].source_box)
-        bonds = bonds[:-1] + (replace(last, source_box=box),)
-    return MolGraph(atoms, bonds)
+    inserts = [op for op in ops if op.kind == "insert_atom"]
+    bond_inserts = sum(op.kind == "insert_bond" or op.attach_to is not None for op in ops)
+    atoms = list(graph.atoms)
+    bare = [i for i, a in enumerate(atoms) if a.source_box is None]
+    if len(bare) != len(inserts) or bond_inserts != sum(
+            b.source_box is None for b in graph.bonds):
+        raise ProjectionError("the atoms and bonds without a box are not the inserted ones")
+    for i, op in zip(bare, inserts):
+        if op.attach_to is not None and not 0 <= op.attach_to < i:
+            raise ProjectionError(f"inserted atom {i} attaches to atom {op.attach_to}")
+        box = _synthesize_atom_box([a.source_box for a in atoms[:i]], op.attach_to)
+        atoms[i] = replace(atoms[i], source_box=box)
+    return MolGraph(tuple(atoms), tuple(
+        b if b.source_box is not None else
+        replace(b, source_box=bond_box(atoms[b.u].source_box, atoms[b.v].source_box))
+        for b in graph.bonds
+    ))
 
 
 def plant_errors(
@@ -773,13 +784,15 @@ def plant_errors(
 
     The render is the truth graph with a lattice box on every atom and bond;
     each corruption is one EditOp applied to that box-carrying graph with
-    apply_op, and the labels are written from the result.  Corruptions are
-    sampled so each one maps to exactly one graph edit after
-    re-construction: atom relabels and bond relabels stay valence-safe,
-    inserted bonds are single, non-parallel, and must resolve back to their
-    own endpoints, and aromatic bonds are left alone (touching one would
-    cascade through repair).  Deterministic for a given seed.  Geometry is
-    sized for default ConstructorParams.
+    apply_op, and the labels are written from the result, with a lattice box
+    on each inserted bond.  Corruptions are sampled so each one maps to
+    exactly one graph edit after re-construction: atom relabels and bond
+    relabels stay valence-safe, inserted bonds are single, non-parallel, and
+    must resolve back to their own endpoints, and aromatic bonds are left
+    alone (touching one would cascade through repair).  Deterministic for a
+    given seed.  Geometry is sized for default ConstructorParams.  The one
+    check is on the render: it must re-construct to the truth, otherwise
+    LayoutError is raised.
     """
     if detect_problems(truth):
         raise ValueError("truth graph must be chemically valid")
@@ -805,6 +818,7 @@ def plant_errors(
 
     touched_atoms: set[int] = set()
     touched_pairs: set[tuple[int, int]] = set()
+    planted: list[EditOp] = []
     rng = random.Random(seed)
 
     def candidates(kind: str) -> list[EditOp]:
@@ -855,9 +869,8 @@ def plant_errors(
             cands = candidates(kind)
             if cands:
                 op = rng.choice(cands)
-                graph = _apply_boxed(
-                    graph, op, lambda a, b: _bond_box(a.center, b.center)
-                )
+                graph = apply_op(graph, op)
+                planted.append(op)
                 if op.pair is None:
                     touched_atoms.add(op.atom_index)
                 else:
@@ -866,6 +879,7 @@ def plant_errors(
         else:
             raise ValueError("no further corruption is possible on this graph")
 
+    graph = _box_insertions(graph, planted, lambda a, b: _bond_box(a.center, b.center))
     return _entity_set(graph, image_id)
 
 
@@ -877,39 +891,22 @@ def project_pseudo_labels(
 ) -> EntitySet:
     """Push an edit script back onto the entity boxes.
 
-    The script is applied with apply_op to the constructed graph, whose atoms
-    and bonds carry their boxes, and the labels are written from the result.
-    Relabels keep the original box with a new class; deletions drop boxes;
-    an inserted bond spans its endpoint boxes and an inserted atom gets a
-    median-size box placed outward from its attachment.  The result must
-    re-construct to the corrected graph, otherwise ProjectionError is raised;
-    geometry is validated only through that oracle.
+    `corrected` must be the `Correction.graph` of construct(pred_entities,
+    params), which keeps the construction's boxes on what the script kept;
+    the labels are written from it.  Relabels keep the original box with a
+    new class; deletions drop boxes; an inserted bond spans its endpoint
+    boxes and an inserted atom gets a median-size box placed outward from
+    its attachment.  An empty script keeps pred_entities.  The one check is
+    on the labels: they must re-construct to corrected, otherwise
+    ProjectionError is raised; geometry is validated only through it.
     """
-    base = construct(pred_entities, params)
-    if not script.ops:
-        if not isomorphic(base, corrected):
-            raise ProjectionError("construction no longer matches the corrected graph")
-        return pred_entities
-    if any(a.source_box is None for a in base.atoms) or any(
-        b.source_box is None for b in base.bonds
-    ):
-        raise ProjectionError("constructed graph lacks box provenance")
-
-    graph = base
-    for op in script.ops:
-        try:
-            graph = _apply_boxed(
-                graph, op, _union_box,
-                lambda boxes: _synthesize_atom_box(boxes, op.attach_to),
-            )
-        except ValueError as exc:
-            raise ProjectionError(f"script does not apply: {exc}") from exc
-
-    result = _entity_set(graph, pred_entities.image_id)
-    rebuilt = construct(result, params)
-    if not isomorphic(rebuilt, corrected):
+    labels = pred_entities
+    if script.ops:
+        boxed = _box_insertions(corrected, script.ops, _union_box)
+        labels = _entity_set(boxed, pred_entities.image_id)
+    if not isomorphic(construct(labels, params), corrected):
         raise ProjectionError("pseudo-labels do not re-construct the corrected graph")
-    return result
+    return labels
 
 
 def _union_box(a: BBox, b: BBox) -> BBox:
@@ -921,7 +918,7 @@ def _synthesize_atom_box(boxes: list[BBox], attach_to: int | None) -> BBox:
     """A box of the boxes' median half-size, outward from the attachment."""
     spans = sorted(v for box in boxes for v in (box.width / 2.0, box.height / 2.0))
     half = spans[len(spans) // 2] if spans else ATOM_BOX_HALF
-    if attach_to is None or not boxes:
+    if attach_to is None:
         base = max((box.xmax for box in boxes), default=0.0)
         return _small_box((base + 6 * half, 0.0), half)
     ax, ay = boxes[attach_to].center

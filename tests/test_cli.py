@@ -198,6 +198,31 @@ class TestPipeline:
         report = json.loads(capsys.readouterr().out)
         assert report["exact"] == 1.0
 
+    def test_accepted_image_is_constructed_twice(self, tmp_path, monkeypatch):
+        # once to correct it and once to check its pseudo-labels
+        from detmol import constructor, editcorrect
+        labels = tmp_path / "labels"
+        truth = tmp_path / "truth.tsv"
+        summary = tmp_path / "summary.tsv"
+        assert run("perturb", "--smiles", "c1ccccc1CC(=O)O",
+                   "--image-id", "imgA", "--edits", "2", "--seed", "3",
+                   "--out", str(labels), "--truth-out", str(truth)) == 0
+        calls = []
+
+        def counted(*args, _construct=constructor.construct, **kwargs):
+            calls.append(1)
+            return _construct(*args, **kwargs)
+
+        monkeypatch.setattr(constructor, "construct", counted)
+        monkeypatch.setattr(editcorrect, "construct", counted)
+        assert run("edit-correct", "--detections", str(labels),
+                   "--references", str(truth), "--k-max", "3",
+                   "--out-labels", str(tmp_path / "projected"),
+                   "--summary", str(summary)) == 0
+        _, cost, accepted = summary.read_text().strip().split("\t")
+        assert accepted == "yes" and int(cost) > 0
+        assert len(calls) == 2
+
     def test_rejection_is_not_a_failure(self, tmp_path):
         # one planted edit always changes the graph, so k-max 0 must reject;
         # a rejection is an honest outcome, not a per-image failure

@@ -433,15 +433,38 @@ class TestProjection:
         with pytest.raises(ProjectionError):
             project_pseudo_labels(entities, EditScript(()), parse("CCN"))
 
-    @pytest.mark.parametrize("op", [
-        EditOp.delete_bond((0, 2)),
-        EditOp.insert_atom("C", attach_to=9, order="single"),
-    ])
-    def test_script_that_does_not_apply_raises(self, op):
+    def test_malformed_input_raises(self):
+        # the oxygen box and its bond box removed: the correction inserts it
         truth = parse("CCO")
-        entities = plant_errors(truth, n_edits=0, seed=1)
-        with pytest.raises(ProjectionError):
-            project_pseudo_labels(entities, EditScript((op,)), truth)
+        rendered = plant_errors(truth, n_edits=0, seed=1)
+        entities = replace(
+            rendered,
+            atoms=EntityChannel("atom", rendered.atoms.boxes[:2]),
+            bonds=EntityChannel("bond", rendered.bonds.boxes[:1]),
+        )
+        found = edit_correct(construct(entities), truth, k_max=1)
+        insert = EditOp.insert_atom("O", attach_to=1, order="single")
+        assert found.script.ops == (insert,)
+        project_pseudo_labels(entities, found.script, found.graph)
+
+        graph = found.graph
+        bare_bond = replace(graph, bonds=(
+            replace(graph.bonds[0], source_box=None), graph.bonds[1],
+        ))
+        bare_atom = replace(graph, atoms=(
+            replace(graph.atoms[0], source_box=None), *graph.atoms[1:],
+        ))
+        cases = [
+            (found.script, truth),  # no construction boxes at all
+            (found.script, bare_atom),  # a kept atom without a box
+            (found.script, bare_bond),  # a kept bond without a box
+            (EditScript((insert, EditOp.insert_atom("C"))), graph),  # one too many
+            (EditScript((EditOp.relabel_atom(0, "C"),)), graph),  # one too few
+            (EditScript((replace(insert, attach_to=9),)), graph),
+        ]
+        for script, corrected in cases:
+            with pytest.raises(ProjectionError):
+                project_pseudo_labels(entities, script, corrected)
 
     def test_projection_round_trip(self):
         rng = random.Random(23)
@@ -450,7 +473,7 @@ class TestProjection:
             entities = plant_errors(truth, n_edits=2, seed=rng.randrange(10 ** 6))
             pred = construct(entities)
             found = edit_correct(pred, truth, k_max=3)
-            projected = project_pseudo_labels(entities, found.script, truth)
+            projected = project_pseudo_labels(entities, found.script, found.graph)
             assert isomorphic(construct(projected), truth)
 
     def test_projection_preserves_image_id(self):
@@ -458,7 +481,7 @@ class TestProjection:
         entities = plant_errors(truth, n_edits=1, seed=3, image_id="sample7")
         pred = construct(entities)
         found = edit_correct(pred, truth, k_max=2)
-        projected = project_pseudo_labels(entities, found.script, truth)
+        projected = project_pseudo_labels(entities, found.script, found.graph)
         assert projected.image_id == "sample7"
 
 
