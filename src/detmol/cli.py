@@ -1,7 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 when --strict is set and any per-image step failed,
-2 for usage, configuration, or unreadable input data.
+2 for bad usage or configuration, invalid input data, or a file that cannot
+be read or written.  `main` is the one place where a command's error becomes
+exit 2.  `--config FILE` is an ordinary flag, so argparse accepts its
+abbreviations; its `key value` lines become every subcommand's defaults.
 """
 
 from __future__ import annotations
@@ -47,28 +50,26 @@ _CONFIG_TYPES = {
 
 
 class FatalCliError(RuntimeError):
-    pass
+    """An error whose message the command line writes itself."""
 
 
 def main(argv=None) -> int:
-    args_in = list(sys.argv[1:] if argv is None else argv)
     _setup_logging()
     parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        defaults = _load_config_defaults(args_in)
-    except FatalCliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if defaults:
-        # subcommands parse into a fresh namespace, so their own defaults
-        # would win; pushing config values into every subparser rewrites the
-        # matching action defaults while explicit flags still override
-        for sub in subparsers:
-            sub.set_defaults(**defaults)
-    args = parser.parse_args(args_in)
-    try:
+        if args.config is not None:
+            # subcommands parse into a fresh namespace, so their own defaults
+            # would win; pushing config values into every subparser rewrites
+            # the matching action defaults while explicit flags still override
+            defaults = _read_config(args.config)
+            for sub in subparsers:
+                sub.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         failures = args.handler(args)
-    except FatalCliError as exc:
+    except (FatalCliError, OSError, ValueError) as exc:
+        # the package's input errors (SmilesError, LabelFileError, ...) are
+        # ValueErrors; an unreadable or unwritable file is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failures:
@@ -91,21 +92,8 @@ def _setup_logging() -> None:
         root.addHandler(handler)
 
 
-def _load_config_defaults(argv: list[str]) -> dict:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise FatalCliError("--config needs a file argument")
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FatalCliError(f"cannot read config: {exc}") from exc
+def _read_config(path: str) -> dict:
+    text = Path(path).read_text(encoding="utf-8")
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -228,10 +216,7 @@ def _write_rows(out: str, rows: dict[str, str]) -> None:
 
 
 def _read_id_list(path: str) -> list[str]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FatalCliError(f"cannot read image list: {exc}") from exc
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return [line.strip() for line in lines if line.strip()]
 
 
@@ -246,21 +231,10 @@ def _detection_ids(args) -> list[str]:
 
 def _constructor_params(args) -> ConstructorParams:
     from .constructor import ConstructorParams
-    try:
-        return ConstructorParams(
-            args.atom_merge_iou, args.edge_expand_step,
-            args.edge_expand_limit, args.max_repair_iterations,
-        )
-    except ValueError as exc:
-        raise FatalCliError(str(exc)) from exc
-
-
-def _read_manifest_or_die(path: str) -> dict[str, str]:
-    from .entities import read_manifest
-    try:
-        return read_manifest(path)
-    except (OSError, ValueError) as exc:
-        raise FatalCliError(str(exc)) from exc
+    return ConstructorParams(
+        args.atom_merge_iou, args.edge_expand_step,
+        args.edge_expand_limit, args.max_repair_iterations,
+    )
 
 
 def _cmd_construct(args) -> int:
@@ -291,35 +265,29 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .entities import LabelFileError, read_entity_set
+    from .entities import read_entity_set, read_manifest
     from .fingerprint import FpParams
-    from .metrics import MetricsError, evaluate_dataset
-    predictions = _read_manifest_or_die(args.predictions)
-    references = _read_manifest_or_die(args.references)
+    from .metrics import evaluate_dataset
+    predictions = read_manifest(args.predictions)
+    references = read_manifest(args.references)
     if bool(args.pred_detections) != bool(args.ref_detections):
         raise FatalCliError(
             "--pred-detections and --ref-detections must be given together"
         )
     pred_entities = ref_entities = None
     if args.pred_detections:
-        try:
-            pred_entities = {
-                image_id: read_entity_set(args.pred_detections, image_id)
-                for image_id in references
-            }
-            ref_entities = {
-                image_id: read_entity_set(args.ref_detections, image_id)
-                for image_id in references
-            }
-        except LabelFileError as exc:
-            raise FatalCliError(str(exc)) from exc
-    try:
-        fp_params = FpParams(args.radius, args.nbits)
-        report = evaluate_dataset(
-            predictions, references, fp_params, pred_entities, ref_entities
-        )
-    except (MetricsError, ValueError) as exc:
-        raise FatalCliError(str(exc)) from exc
+        pred_entities = {
+            image_id: read_entity_set(args.pred_detections, image_id)
+            for image_id in references
+        }
+        ref_entities = {
+            image_id: read_entity_set(args.ref_detections, image_id)
+            for image_id in references
+        }
+    report = evaluate_dataset(
+        predictions, references, FpParams(args.radius, args.nbits),
+        pred_entities, ref_entities,
+    )
     if args.per_type_csv:
         Path(args.per_type_csv).write_text(report.per_type_csv(), encoding="utf-8")
     if args.json:
@@ -333,11 +301,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_edit_correct(args) -> int:
     from .constructor import construct
     from .editcorrect import ProjectionError, edit_correct, project_pseudo_labels
-    from .entities import LabelFileError, read_entity_set, write_entity_set
+    from .entities import (
+        LabelFileError, read_entity_set, read_manifest, write_entity_set,
+    )
     from .molgraph import RepairError
     from .smiles import SmilesError, parse
     params = _constructor_params(args)
-    references = _read_manifest_or_die(args.references)
+    references = read_manifest(args.references)
     root = Path(args.detections)
     if not root.is_dir():
         raise FatalCliError(f"not a directory: {root}")
@@ -377,15 +347,11 @@ def _cmd_edit_correct(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    from .experts import (
-        CascadeConfigError, NoPredictionError, cascade, load_cascade_config,
-    )
-    try:
-        experts = load_cascade_config(args.experts)
-    except (OSError, CascadeConfigError) as exc:
-        raise FatalCliError(str(exc)) from exc
+    from .entities import read_manifest
+    from .experts import NoPredictionError, cascade, load_cascade_config
+    experts = load_cascade_config(args.experts)
     if args.references:
-        image_ids = sorted(_read_manifest_or_die(args.references))
+        image_ids = sorted(read_manifest(args.references))
     elif args.images:
         image_ids = _read_id_list(args.images)
     else:
@@ -421,16 +387,14 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    from .entities import read_manifest
     from .fingerprint import FpParams, ecfp, tanimoto
     from .smiles import SmilesError, parse
-    try:
-        fp_params = FpParams(args.radius, args.nbits)
-    except ValueError as exc:
-        raise FatalCliError(str(exc)) from exc
+    fp_params = FpParams(args.radius, args.nbits)
     if args.manifest:
         if args.smiles or args.pair:
             raise FatalCliError("--manifest excludes positional SMILES and --pair")
-        rows = _read_manifest_or_die(args.manifest)
+        rows = read_manifest(args.manifest)
         failures = 0
         for image_id, smiles in rows.items():
             try:
@@ -443,11 +407,7 @@ def _cmd_fingerprint(args) -> int:
         return failures
     if not args.smiles:
         raise FatalCliError("give SMILES arguments or --manifest")
-    try:
-        graphs = [parse(s) for s in args.smiles]
-    except SmilesError as exc:
-        raise FatalCliError(str(exc)) from exc
-    prints = [ecfp(g, fp_params) for g in graphs]
+    prints = [ecfp(parse(s), fp_params) for s in args.smiles]
     if args.pair:
         if len(prints) != 2:
             raise FatalCliError("--pair needs exactly two SMILES")
@@ -460,14 +420,14 @@ def _cmd_fingerprint(args) -> int:
 
 def _cmd_perturb(args) -> int:
     from .editcorrect import LayoutError, plant_errors
-    from .entities import write_entity_set, write_manifest
+    from .entities import read_manifest, write_entity_set, write_manifest
     from .smiles import SmilesError, parse
     if bool(args.smiles) == bool(args.manifest):
         raise FatalCliError("give exactly one of --smiles or --manifest")
     if args.edits < 0:
         raise FatalCliError("--edits must be >= 0")
     entries = (
-        list(_read_manifest_or_die(args.manifest).items())
+        list(read_manifest(args.manifest).items())
         if args.manifest else [(args.image_id, args.smiles)]
     )
     out_root = Path(args.out)

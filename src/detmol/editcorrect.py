@@ -689,12 +689,6 @@ def _layout_cells(graph: MolGraph, strict: bool) -> list[tuple[float, float]]:
     return [_axial_to_pixel(*cells[i]) for i in range(n)]
 
 
-def _atom_box(center: tuple[float, float]) -> BBox:
-    x, y = center
-    return BBox(x - ATOM_BOX_HALF, y - ATOM_BOX_HALF,
-                x + ATOM_BOX_HALF, y + ATOM_BOX_HALF)
-
-
 def _bond_box(a: tuple[float, float], b: tuple[float, float]) -> BBox:
     box = BBox(
         min(a[0], b[0]) - BOND_BOX_PAD, min(a[1], b[1]) - BOND_BOX_PAD,
@@ -799,7 +793,7 @@ def plant_errors(
     params = ConstructorParams()
     positions = _layout(truth)
     graph = MolGraph(
-        tuple(replace(a, source_box=_atom_box(positions[i]))
+        tuple(replace(a, source_box=_small_box(positions[i], ATOM_BOX_HALF))
               for i, a in enumerate(truth.atoms)),
         tuple(replace(b, source_box=_bond_box(positions[b.u], positions[b.v]))
               for b in truth.bonds),

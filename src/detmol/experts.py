@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructor import ConstructorParams, construct
-from .entities import (  # noqa: F401  (write_manifest is re-exported)
-    LabelFileError, read_entity_set, read_manifest, write_manifest,
-)
+from .entities import LabelFileError, read_entity_set, read_manifest
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
 
@@ -50,14 +48,12 @@ class ExpertAdapter:
         as the prediction.
     """
 
-    def __init__(self, name: str, kind: str, source: str,
-                 params: ConstructorParams = ConstructorParams()):
+    def __init__(self, name: str, kind: str, source: str):
         if kind not in EXPERT_KINDS:
             raise CascadeConfigError(f"unknown expert kind {kind!r}")
         self.name = name
         self.kind = kind
         self.source = source
-        self.params = params
         self._table: dict[str, str] | None = None
 
     def predict(self, image_id: str) -> str:
@@ -84,7 +80,7 @@ class ExpertAdapter:
             raise ExpertFailure(f"{self.name}: no detections at {folder}")
         try:
             entities = read_entity_set(self.source, image_id)
-            graph = construct(entities, self.params)
+            graph = construct(entities, ConstructorParams())
         except (LabelFileError, RepairError, ValueError) as exc:
             raise ExpertFailure(f"{self.name}: {exc}") from exc
         return write(graph)

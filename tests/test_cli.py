@@ -104,7 +104,20 @@ class TestConfigFile:
         assert run("fingerprint", "--config", str(tmp_path / "nope"), "C") == 2
 
     def test_config_flag_without_value_fatal(self):
-        assert run("fingerprint", "C", "--config") == 2
+        # a bare trailing --config is an argparse usage error
+        with pytest.raises(SystemExit) as err:
+            run("fingerprint", "C", "--config")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--conf", "--confi"])
+    def test_abbreviated_flag_applies_config(self, tmp_path, capsys, flag):
+        # argparse accepts any unambiguous prefix of --config, so the file
+        # it names must be read, as it is for the full flag
+        cfg = tmp_path / "detmol.conf"
+        cfg.write_text("radius 2\nnbits 64\n")
+        assert run("fingerprint", flag, str(cfg), "CCO") == 0
+        out = capsys.readouterr().out.strip()
+        assert out == ecfp(parse("CCO"), FpParams(2, 64)).to_hex()
 
     @pytest.mark.parametrize("value, code", [
         ("1", 1), ("TRUE", 1), ("yes", 1), ("0", 0), ("False", 0), ("NO", 0),
@@ -325,6 +338,64 @@ class TestCascadeCommand:
         cfg = tmp_path / "experts.conf"
         cfg.write_text("broken\n")
         assert run("cascade", "--experts", str(cfg), "--images", "x") == 2
+
+
+@pytest.fixture
+def rendered(tmp_path):
+    """tmp_path holding `labels/imgA` rendered from CCO with one planted
+    edit, its `truth.tsv`, and a `bad` labels root whose `imgA/atoms.csv`
+    has no header."""
+    assert run("perturb", "--smiles", "CCO", "--image-id", "imgA",
+               "--edits", "1", "--seed", "1", "--out", str(tmp_path / "labels"),
+               "--truth-out", str(tmp_path / "truth.tsv")) == 0
+    (tmp_path / "bad" / "imgA").mkdir(parents=True)
+    (tmp_path / "bad" / "imgA" / "atoms.csv").write_text("99,0,0,1,1\n")
+    (tmp_path / "experts.conf").write_text("x psychic crystal.ball\n")
+    (tmp_path / "ids.txt").write_text("imgA\n")
+    return tmp_path
+
+
+class TestErrorBoundary:
+    """A bad value or a file that cannot be read or written ends a command
+    with exit 2 and an `error:` line on stderr, never a traceback."""
+
+    def check(self, root, argv, capsys):
+        capsys.readouterr()
+        assert run(*(arg.format(d=root) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--detections", "{d}/labels",
+         "--out", "{d}/missing/x.tsv"],
+        ["evaluate", "--predictions", "{d}/truth.tsv",
+         "--references", "{d}/truth.tsv", "--per-type-csv", "{d}/missing/a.csv"],
+        ["edit-correct", "--detections", "{d}/labels",
+         "--references", "{d}/truth.tsv", "--out-labels", "{d}/truth.tsv",
+         "--summary", "{d}/summary.tsv"],
+        ["perturb", "--smiles", "CCO", "--out", "{d}/more",
+         "--truth-out", "{d}/missing/truth.tsv"],
+    ], ids=["construct-out", "evaluate-per-type-csv", "edit-correct-out-labels",
+            "perturb-truth-out"])
+    def test_unwritable_output(self, rendered, capsys, argv):
+        self.check(rendered, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--detections", "{d}/labels", "--atom-merge-iou", "2"],
+        ["fingerprint", "--nbits", "3", "CCO"],
+        ["construct", "--detections", "{d}/labels",
+         "--images", "{d}/missing.txt"],
+        ["evaluate", "--predictions", "{d}/missing.tsv",
+         "--references", "{d}/truth.tsv"],
+        ["evaluate", "--predictions", "{d}/truth.tsv",
+         "--references", "{d}/truth.tsv", "--pred-detections", "{d}/bad",
+         "--ref-detections", "{d}/labels"],
+        ["cascade", "--experts", "{d}/experts.conf", "--images", "{d}/ids.txt"],
+    ], ids=["atom-merge-iou", "nbits", "images-list", "predictions-manifest",
+            "pred-detections", "expert-kind"])
+    def test_bad_input(self, rendered, capsys, argv):
+        self.check(rendered, argv, capsys)
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
