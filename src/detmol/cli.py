@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 when --strict is set and any per-image step failed,
 2 for bad usage or configuration, invalid input data, or a file that cannot
 be read or written.  `main` is the one place where a command's error becomes
-exit 2.  `--config FILE` is an ordinary flag, so argparse accepts its
-abbreviations; its `key value` lines become every subcommand's defaults.
+exit 2.  A per-image step catches its own image's errors, an unreadable
+label file or an image id that is not a folder name too, and counts them.
+`--config FILE` is an ordinary flag, so argparse accepts its abbreviations;
+its `key value` lines become every subcommand's defaults.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def _constructor_params(args) -> ConstructorParams:
 
 def _cmd_construct(args) -> int:
     from .constructor import construct
-    from .entities import LabelFileError, read_entity_set
+    from .entities import read_entity_set
     from .molgraph import RepairError
     from .smiles import write
     params = _constructor_params(args)
@@ -252,7 +254,7 @@ def _cmd_construct(args) -> int:
         try:
             entities = read_entity_set(root, image_id)
             smiles = write(construct(entities, params, dropped))
-        except (LabelFileError, RepairError, ValueError) as exc:
+        except (RepairError, OSError, ValueError) as exc:
             smiles, error = "", exc
         for warning in dropped:
             log.warning("%s", warning.format())
@@ -301,9 +303,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_edit_correct(args) -> int:
     from .constructor import construct
     from .editcorrect import ProjectionError, edit_correct, project_pseudo_labels
-    from .entities import (
-        LabelFileError, read_entity_set, read_manifest, write_entity_set,
-    )
+    from .entities import read_entity_set, read_manifest, write_entity_set
     from .molgraph import RepairError
     from .smiles import SmilesError, parse
     params = _constructor_params(args)
@@ -324,6 +324,8 @@ def _cmd_edit_correct(args) -> int:
             ref_graph = parse(references[image_id])
         except SmilesError as exc:
             raise FatalCliError(f"{image_id}: bad reference: {exc}") from exc
+        # an unreadable or malformed label file (LabelFileError is a
+        # ValueError) fails this image; an unwritable output fails the run
         try:
             entities = read_entity_set(root, image_id)
             graph = construct(entities, params)
@@ -332,8 +334,7 @@ def _cmd_edit_correct(args) -> int:
                 projected = project_pseudo_labels(
                     entities, correction.script, correction.graph, params
                 )
-                write_entity_set(out_root, projected)
-        except (LabelFileError, RepairError, ProjectionError, ValueError) as exc:
+        except (RepairError, ProjectionError, OSError, ValueError) as exc:
             log.error("%s: %s", image_id, exc)
             failures += 1
             rows[image_id] = "\tno"
@@ -341,6 +342,8 @@ def _cmd_edit_correct(args) -> int:
         if correction is None:
             rows[image_id] = "\tno"
         else:
+            if out_root is not None:
+                write_entity_set(out_root, projected)
             rows[image_id] = f"{correction.script.cost}\tyes"
     _write_rows(args.summary, rows)
     return failures

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 
 from .constructor import ConstructorParams, construct, resolve_endpoints
@@ -13,8 +12,9 @@ from .entities import (
     EntitySet, intersects,
 )
 from .molgraph import (
-    ORDER_VALUE, Atom, Bond, MolGraph, connected_order, detect_problems,
-    isomorphic, match_order, neighbours, order_sums, over_valence,
+    ORDER_VALUE, Atom, Bond, MolGraph, _labels, _search_mapping,
+    detect_problems, isomorphic, match_order, neighbours, order_sums,
+    over_valence,
 )
 
 EDIT_KINDS = (
@@ -159,16 +159,6 @@ def _find_bond(bonds: list[Bond], pair: tuple[int, int] | None) -> int:
     raise ValueError(f"no bond between {pair}")
 
 
-def _labels(graph: MolGraph) -> list[tuple[str, int]]:
-    return [(a.element, a.formal_charge) for a in graph.atoms]
-
-
-def _histogram_gap(a: list, b: list) -> int:
-    ca, cb = Counter(a), Counter(b)
-    overlap = sum((ca & cb).values())
-    return max(len(a), len(b)) - overlap
-
-
 def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | None:
     """Minimum-cost edit script turning pred into ref, within the budget.
 
@@ -184,8 +174,8 @@ def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | 
     assigned atom has more bonds to unassigned atoms than its image has to
     unowned ones, or fewer.  An inserted atom brings one such ref bond in
     its own op, so the insertions the histogram forces anyway carry that
-    many of them; `_search_mapping` gives the argument.  With k_max 0 this
-    degenerates to an isomorphism test.  Returns None when no script of
+    many of them; `_search_mapping` gives the argument.  `isomorphic` is
+    this search at k_max 0.  Returns None when no script of
     cost <= k_max exists.  The one check is on the script: its length must
     equal the search cost, and applied to pred it must reach ref.
     """
@@ -202,256 +192,6 @@ def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | 
     if not isomorphic(corrected, ref):
         raise RuntimeError("internal: edit script does not reach the reference")
     return Correction(EditScript(tuple(ops)), corrected)
-
-
-def _search_mapping(
-    pred: MolGraph, ref: MolGraph, k_max: int
-) -> tuple[int, list[int]] | None:
-    """The first atom assignment, in search order, of least cost <= k_max.
-
-    Budgets rise from the histogram lower bound to k_max.  Each budget is a
-    depth-first search, on an explicit stack, that stops at its first
-    complete assignment of total cost <= budget.  A child is skipped when its
-    cost so far plus this lower bound on the rest exceeds the budget.
-
-    Each assigned pred atom i has a(i) bonds to unassigned pred atoms, and
-    its image b(i) bonds to unowned ref atoms (b(i) = 0 when i is deleted).
-    A pred bond of i survives only on a ref bond of its image, one for one,
-    so P = sum max(0, a - b) pred bonds must still be deleted and
-    R = sum max(0, b - a) ref bonds inserted.  Each is charged to its one
-    assigned endpoint, so none is counted twice or with a bond the cost so
-    far holds.  Say `left` pred atoms are unassigned, `free` ref atoms
-    unowned, and their label histograms share `overlap`.  A completion that
-    matches M of them relabels at least M - overlap atoms, deletes left - M
-    and inserts I = free - M >= free - left.  An inserted atom may bring one
-    of the R bonds in its own op, so at least R - I bonds are inserted on
-    their own.  The rest thus costs at least
-    (M - overlap) + (left - M) + I + P + max(0, R - I)
-    = left - overlap + P + max(I, R) >= left - overlap + P + max(free - left, R),
-    which is the bound: the label histogram bound plus P, plus the part of R
-    that the insertions it forces anyway cannot bring.
-
-    The bound never exceeds the cost of any completion, so no assignment
-    within the budget is cut; the children keep their order, so the first
-    hit at the least feasible budget is the first minimum-cost assignment
-    in search order, as without the bound.
-    """
-    labels_p, labels_r = _labels(pred), _labels(ref)
-    orders_p = [match_order(b.order) for b in pred.bonds]
-    orders_r = [match_order(b.order) for b in ref.bonds]
-    lower = max(
-        _histogram_gap(labels_p, labels_r),
-        abs(len(orders_p) - len(orders_r)),
-        _histogram_gap(orders_p, orders_r),
-    )
-    if lower > k_max:
-        return None
-
-    n_pred, n_ref = pred.n_atoms, ref.n_atoms
-    nbrs_p = neighbours(pred)
-    rows_p = [dict(row) for row in nbrs_p]  # {neighbour: bond label}
-    rows_r = [dict(row) for row in neighbours(ref)]
-    sorted_r = [sorted(row) for row in rows_r]
-    ref_pairs = [b.pair for b in ref.bonds]
-    ids = {label: k for k, label in enumerate(dict.fromkeys(labels_p + labels_r))}
-    lab_p = [ids[x] for x in labels_p]
-    lab_r = [ids[x] for x in labels_r]
-    # label counts of the atoms not yet assigned, and their overlap
-    rem_p = [0] * len(ids)
-    rem_r = [0] * len(ids)
-    for x in lab_p:
-        rem_p[x] += 1
-    for x in lab_r:
-        rem_r[x] += 1
-    overlap = sum(map(min, rem_p, rem_r))
-    free_r = n_ref
-    surplus = [0] * n_pred  # a(i) - b(i) of each assigned pred atom
-
-    order = connected_order(nbrs_p, lambda i: (-len(nbrs_p[i]), i))
-    mapping = [-2] * n_pred  # -2 unassigned, -1 delete, >= 0 ref index
-    ref_owner = [-1] * n_ref
-    # per depth: cost so far with P and R, the ref atoms left to try (None
-    # once deletion was tried too), and the (ref image, bond label, a > b)
-    # of each assigned neighbour with the count of deleted ones
-    state_at = [(0, 0, 0)] * n_pred
-    untried_at: list = [None] * n_pred
-    fixed_at: list[tuple[list[tuple[int, str, bool]], int]] = [([], 0)] * n_pred
-
-    def completion_cost() -> int:
-        missing = [s for s in range(n_ref) if ref_owner[s] < 0]
-        if not missing:
-            return 0
-        missing_set = set(missing)
-        incident = sum(
-            1 for pair in ref_pairs
-            if pair[0] in missing_set or pair[1] in missing_set
-        )
-        islands = 0
-        seen: set[int] = set()
-        for s in missing:
-            if s in seen:
-                continue
-            stack, anchored = [s], False
-            seen.add(s)
-            while stack:
-                node = stack.pop()
-                for other in rows_r[node]:
-                    if other in missing_set:
-                        if other not in seen:
-                            seen.add(other)
-                            stack.append(other)
-                    else:
-                        anchored = True
-            if not anchored:
-                islands += 1
-        return len(missing) + incident - (len(missing) - islands)
-
-    for budget in range(lower, k_max + 1):
-        if n_pred == 0:
-            total = completion_cost()
-            if total <= budget:
-                return total, []
-            continue
-        depth = 0
-        untried_at[0] = iter(range(n_ref))
-        while depth >= 0:
-            i = order[depth]
-            a = lab_p[i]
-            r = mapping[i]
-            row_i = rows_p[i]
-            if r != -2:  # undo the child just left
-                mapping[i] = -2
-                for j in row_i:
-                    if mapping[j] != -2:
-                        surplus[j] += 1
-                rem_p[a] += 1
-                if rem_p[a] <= rem_r[a]:
-                    overlap += 1
-                if r >= 0:
-                    ref_owner[r] = -1
-                    for s in rows_r[r]:
-                        j = ref_owner[s]
-                        if j >= 0:
-                            surplus[j] -= 1
-                    free_r += 1
-                    b = lab_r[r]
-                    rem_r[b] += 1
-                    if rem_r[b] <= rem_p[b]:
-                        overlap += 1
-            untried = untried_at[depth]
-            if untried is None:
-                depth -= 1
-                continue
-            # shared by every child: the bonds to deleted neighbours, which
-            # move from P to the cost; i's label leaving the unassigned
-            # histogram; a(i); and free - left once a ref child is placed
-            placed, n_deleted = fixed_at[depth]
-            cost, owed_p, owed_r = state_at[depth]
-            cost += n_deleted
-            owed_p -= n_deleted
-            left = n_pred - depth - 1
-            floor = cost + left
-            spare = free_r - 1 - left
-            rem_a = rem_p[a] - 1
-            overlap_i = overlap - (rem_a < rem_r[a])
-            a_i = len(row_i) - len(placed) - n_deleted
-            child = -2
-            for r in untried:
-                if ref_owner[r] >= 0:
-                    continue
-                b = lab_r[r]
-                extra = a != b
-                if cost + extra > budget:
-                    continue
-                row_r = rows_r[r]
-                p, q = owed_p, owed_r
-                for fj, code, over in placed:
-                    held = row_r.get(fj)
-                    if held != code:
-                        extra += 1
-                        if held is None:  # the pred bond is deleted
-                            if over:
-                                p -= 1
-                            else:
-                                q += 1
-                d = a_i  # a(i) - b(i)
-                for s in row_r:
-                    j = ref_owner[s]
-                    if j < 0:
-                        d -= 1
-                    elif j not in row_i:  # the ref bond is inserted
-                        extra += 1
-                        if surplus[j] >= 0:
-                            p += 1
-                        else:
-                            q -= 1
-                if d > 0:
-                    p += d
-                else:
-                    q -= d
-                common = overlap_i - (rem_r[b] <= (rem_a if a == b else rem_p[b]))
-                if floor + extra - common + p + (q if q > spare else spare) <= budget:
-                    child = r
-                    break
-            else:
-                untried_at[depth] = None
-                extra = 1 + len(placed)
-                d = a_i
-                p, q = owed_p + a_i, owed_r
-                for _, _, over in placed:
-                    if over:
-                        p -= 1
-                    else:
-                        q += 1
-                if floor + extra - overlap_i + p + (q if q > spare else spare + 1) <= budget:
-                    child = -1
-            if child == -2:
-                depth -= 1
-                continue
-            mapping[i] = child
-            rem_p[a] = rem_a
-            overlap = overlap_i
-            surplus[i] = d
-            for j in row_i:
-                if mapping[j] != -2:
-                    surplus[j] -= 1
-            if child >= 0:
-                ref_owner[child] = i
-                for s in rows_r[child]:
-                    j = ref_owner[s]
-                    if j >= 0:
-                        surplus[j] += 1
-                free_r -= 1
-                b = lab_r[child]
-                if rem_r[b] <= rem_p[b]:
-                    overlap -= 1
-                rem_r[b] -= 1
-            cost += extra
-            if left == 0:
-                total = cost + completion_cost()
-                if total <= budget:
-                    return total, mapping.copy()
-                continue
-            depth += 1
-            state_at[depth] = (cost, p, q)
-            j_placed, j_deleted = [], 0
-            for j, code in nbrs_p[order[depth]]:
-                fj = mapping[j]
-                if fj >= 0:
-                    j_placed.append((fj, code, surplus[j] > 0))
-                elif fj == -1:
-                    j_deleted += 1
-            fixed_at[depth] = (j_placed, j_deleted)
-            # with less slack than placed neighbours, a ref atom bonded to no
-            # neighbour's image already costs too much
-            if budget - cost - j_deleted >= len(j_placed):
-                untried_at[depth] = iter(range(n_ref))
-            elif len(j_placed) == 1:
-                untried_at[depth] = iter(sorted_r[j_placed[0][0]])
-            else:
-                untried_at[depth] = iter(sorted(
-                    {s for fj, _, _ in j_placed for s in rows_r[fj]}))
-    return None
 
 
 def _script_from_mapping(

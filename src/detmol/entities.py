@@ -226,14 +226,23 @@ def channel_filename(kind: str) -> str:
     return kind + "s.csv"
 
 
+def _image_dir(root: str | Path, image_id: str) -> Path:
+    """`<root>/<image_id>`, for an id that names one folder inside root: a
+    single path component, not `.` or `..`, not absolute."""
+    if image_id == ".." or Path(image_id).parts != (image_id,):
+        raise LabelFileError(f"image id {image_id!r} is not a folder name")
+    return Path(root) / image_id
+
+
 def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
     """Load `<root>/<image_id>/{atoms,bonds,charges,stereos}.csv`.
 
     A missing channel file is an empty channel; the detector may simply
     have found nothing of that kind.  So is every channel of an image whose
-    folder is missing or is not a directory.
+    folder is missing or is not a directory.  An id that is not a single
+    folder name raises LabelFileError.
     """
-    base = Path(root) / image_id
+    base = _image_dir(root, image_id)
     channels = {}
     for kind in CHANNEL_KINDS:
         try:
@@ -248,8 +257,9 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
 
 
 def write_entity_set(root: str | Path, entity_set: EntitySet) -> Path:
-    """Write all four channel files; returns the per-image directory."""
-    base = Path(root) / entity_set.image_id
+    """Write all four channel files; returns the per-image directory.  An id
+    that is not a single folder name raises LabelFileError."""
+    base = _image_dir(root, entity_set.image_id)
     base.mkdir(parents=True, exist_ok=True)
     for kind in CHANNEL_KINDS:
         channel = getattr(entity_set, kind + "s")

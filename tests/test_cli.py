@@ -398,6 +398,60 @@ class TestErrorBoundary:
         self.check(rendered, argv, capsys)
 
 
+class TestPerImageFailure:
+    """An image whose id or label files cannot be used is logged and counted;
+    the other images are still written and the run exits 0 (1 under
+    --strict)."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_id_cannot_leave_the_output_root(self, tmp_path, caplog, strict):
+        (tmp_path / "m.tsv").write_text("imgA\tCCO\n../escaped\tCCO\n")
+        argv = ["perturb", "--manifest", str(tmp_path / "m.tsv"),
+                "--out", str(tmp_path / "out"),
+                "--truth-out", str(tmp_path / "truth.tsv")]
+        with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+            assert run(*argv, *(["--strict"] if strict else [])) == int(strict)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv", "out", "truth.tsv"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["imgA"]
+        assert read_manifest(tmp_path / "truth.tsv") == {"imgA": "CCO"}
+        assert any("../escaped" in rec.getMessage() for rec in caplog.records)
+
+    def test_id_cannot_leave_the_detections_root(self, rendered, caplog):
+        (rendered / "ids.txt").write_text("imgA\n../labels/imgA\n")
+        with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+            assert run("construct", "--detections", str(rendered / "labels"),
+                       "--images", str(rendered / "ids.txt"),
+                       "--out", str(rendered / "out.tsv")) == 0
+        rows = read_manifest(rendered / "out.tsv")
+        assert rows["imgA"] and rows["../labels/imgA"] == ""
+        assert any("../labels/imgA" in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("command", ["construct", "edit-correct"])
+    def test_unreadable_label_file(self, rendered, caplog, command, strict):
+        (rendered / "labels" / "imgB" / "atoms.csv").mkdir(parents=True)
+        (rendered / "truth.tsv").write_text("imgA\tCCO\nimgB\tCCO\n")
+        argv = [command, "--detections", str(rendered / "labels")]
+        if command == "construct":
+            argv += ["--out", str(rendered / "out.tsv")]
+        else:
+            argv += ["--references", str(rendered / "truth.tsv"),
+                     "--out-labels", str(rendered / "fixed"),
+                     "--summary", str(rendered / "out.tsv")]
+        with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+            assert run(*argv, *(["--strict"] if strict else [])) == int(strict)
+        rows = read_manifest(rendered / "out.tsv")
+        if command == "construct":
+            assert rows == {"imgA": "C1CO1", "imgB": ""}
+        else:
+            # read_manifest strips the empty cost field of imgB's row
+            assert rows == {"imgA": "1\tyes", "imgB": "no"}
+            assert [p.name for p in (rendered / "fixed").iterdir()] == ["imgA"]
+        [message] = [rec.getMessage() for rec in caplog.records
+                     if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
+        assert message.startswith("imgB: ")
+
+
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter in a new process that imports this detmol."""
     src = str(Path(detmol.__file__).resolve().parents[1])

@@ -16,10 +16,12 @@ from detmol import (
     isomorphic, parse, plant_errors, project_pseudo_labels,
 )
 from detmol.editcorrect import (
-    _AXIAL_STEPS, _axial_adjacent, _axial_to_pixel, _histogram_gap, _labels,
-    _layout_cells, _search_mapping,
+    _AXIAL_STEPS, _axial_adjacent, _axial_to_pixel, _layout_cells,
 )
-from detmol.molgraph import connected_order, match_order, neighbours
+from detmol.molgraph import (
+    _histogram_gap, _labels, _search_mapping, connected_order, match_order,
+    neighbours,
+)
 from detmol.entities import (
     CHANNEL_KINDS, BBox, DetBox, EntityChannel, write_label_file,
 )

@@ -139,3 +139,19 @@ class TestEntitySetIO:
     def test_filenames(self):
         assert channel_filename("atom") == "atoms.csv"
         assert channel_filename("stereo") == "stereos.csv"
+
+    @pytest.mark.parametrize("image_id", [
+        "..", ".", "", "../escaped", "a/b", "m1/", "{tmp}/abs",
+    ])
+    def test_image_id_must_be_one_folder_name(self, tmp_path, image_id):
+        image_id = image_id.format(tmp=tmp_path)  # absolute
+        root = tmp_path / "root"
+        root.mkdir()
+        es = EntitySet(image_id, empty_channel("atom"), empty_channel("bond"),
+                       empty_channel("charge"), empty_channel("stereo"))
+        with pytest.raises(LabelFileError):
+            write_entity_set(root, es)
+        with pytest.raises(LabelFileError):
+            read_entity_set(root, image_id)
+        assert list(tmp_path.iterdir()) == [root]
+        assert list(root.iterdir()) == []

@@ -315,10 +315,34 @@ class TestIsomorphism:
             ("C1CC1.C1CC1.[Cl-]", "C1CCCCC1.[Cl-]"),
             ("C1CC1.C1CC1.[Cl-]", "[Cl-].C1CC1.C1CC1"),
             ("CC.CC.[Cl-].[Cl-]", "[Cl-].CC.[Cl-].CC"),
+            # equal label and bond histograms: only the search tells them apart
+            ("CC(C)CC", "CCCCC"),
+            ("C1CC1C", "C1CCC1"),
+            ("CC(C)(C)C", "CCC(C)C"),
         ]:
             pairs.append((parse(s), permute_graph(rng, parse(t))[0]))
         for a, b in pairs:
             assert isomorphic(a, b) == brute_force_isomorphic(a, b)
+        # copies with one bond's endpoint moved keep both histograms too;
+        # both verdicts must occur among them
+        verdicts = []
+        while len(verdicts) < 150:
+            a = random_molecule(rng, max_heavy=6)
+            if not a.bonds:
+                continue
+            bonds = list(a.bonds)
+            k = rng.randrange(len(bonds))
+            u = bonds[k].u
+            held = {b.pair for b in bonds}
+            free = [w for w in range(a.n_atoms)
+                    if w != u and (min(u, w), max(u, w)) not in held]
+            if not free:
+                continue
+            bonds[k] = Bond(u, rng.choice(free), bonds[k].order)
+            b, _ = permute_graph(rng, MolGraph(a.atoms, tuple(bonds)))
+            verdicts.append(brute_force_isomorphic(a, b))
+            assert isomorphic(a, b) == verdicts[-1]
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_regular_graphs_need_backtracking(self):
         # two 3-cycles vs one 6-cycle: identical degree/label refinement
