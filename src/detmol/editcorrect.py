@@ -174,10 +174,11 @@ def edit_correct(pred: MolGraph, ref: MolGraph, k_max: int = 3) -> Correction | 
     assigned atom has more bonds to unassigned atoms than its image has to
     unowned ones, or fewer.  An inserted atom brings one such ref bond in
     its own op, so the insertions the histogram forces anyway carry that
-    many of them; `_search_mapping` gives the argument.  `isomorphic` is
-    this search at k_max 0.  Returns None when no script of
-    cost <= k_max exists.  The one check is on the script: its length must
-    equal the search cost, and applied to pred it must reach ref.
+    many of them; `_search_mapping` gives the argument.  `isomorphic` runs
+    this search at k_max 0 over colour-refinement classes.  Returns None
+    when no script of cost <= k_max exists.  The one check is on the
+    script: its length must equal the search cost, and applied to pred it
+    must reach ref.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

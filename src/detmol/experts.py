@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructor import ConstructorParams, construct
-from .entities import LabelFileError, read_entity_set, read_manifest
+from .entities import read_entity_set, read_manifest
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
 
@@ -81,7 +81,7 @@ class ExpertAdapter:
         try:
             entities = read_entity_set(self.source, image_id)
             graph = construct(entities, ConstructorParams())
-        except (LabelFileError, RepairError, ValueError) as exc:
+        except (OSError, RepairError, ValueError) as exc:
             raise ExpertFailure(f"{self.name}: {exc}") from exc
         return write(graph)
 

@@ -1,6 +1,7 @@
 """Molecular graphs with valence accounting and repair, and one exact search
 for graph correspondence: `_search_mapping` finds least-cost atom mappings
-for edit-correction, and `isomorphic` is that search at budget 0."""
+for edit-correction, and `isomorphic` is that search at budget 0 over
+colour-refinement classes."""
 
 from __future__ import annotations
 
@@ -281,14 +282,28 @@ def connected_order(nbrs: list[list[tuple[int, str]]], key) -> list[int]:
 
 
 def isomorphic(a: MolGraph, b: MolGraph) -> bool:
-    """Label-preserving graph isomorphism: the least-cost edit search of
-    `_search_mapping` at budget 0.
+    """Label-preserving graph isomorphism: colour refinement of the disjoint
+    union, then the least-cost edit search of `_search_mapping` at budget 0
+    with the colours as atom labels.
 
     Elements, formal charges, adjacency, and bond orders must correspond;
     wedged and dashed bonds count as single.
     Stereocenter flags are derived annotations and are not compared.
     """
-    return _search_mapping(a, b, 0) is not None
+    n = a.n_atoms
+    if n != b.n_atoms or len(a.bonds) != len(b.bonds):
+        return False
+    # refining the disjoint union makes colours comparable across a and b,
+    # and every isomorphism keeps them, so they serve as atom labels.  The
+    # search's histogram bound then turns away at once every pair that
+    # refinement tells apart, which with element labels it might reject only
+    # after backtracking through symmetric groups
+    nbrs_a, nbrs_b = neighbours(a), neighbours(b)
+    union = nbrs_a + [[(j + n, code) for j, code in row] for row in nbrs_b]
+    colors = refine(
+        union, dense_rank(atom_invariants(a, nbrs_a) + atom_invariants(b, nbrs_b))
+    )
+    return _search_mapping(a, b, 0, (colors[:n], colors[n:])) is not None
 
 
 def _labels(graph: MolGraph) -> list[tuple[str, int]]:
@@ -302,7 +317,7 @@ def _histogram_gap(a: list, b: list) -> int:
 
 
 def _search_mapping(
-    pred: MolGraph, ref: MolGraph, k_max: int
+    pred: MolGraph, ref: MolGraph, k_max: int, labels: tuple | None = None
 ) -> tuple[int, list[int]] | None:
     """The first atom assignment, in search order, of least cost <= k_max.
 
@@ -332,8 +347,11 @@ def _search_mapping(
     within the budget is cut; the children keep their order, so the first
     hit at the least feasible budget is the first minimum-cost assignment
     in search order, as without the bound.
+
+    `labels`, the atom labels of pred and of ref, defaults to their
+    (element, formal charge) pairs.
     """
-    labels_p, labels_r = _labels(pred), _labels(ref)
+    labels_p, labels_r = labels or (_labels(pred), _labels(ref))
     orders_p = [match_order(b.order) for b in pred.bonds]
     orders_r = [match_order(b.order) for b in ref.bonds]
     lower = max(

@@ -451,6 +451,22 @@ class TestPerImageFailure:
                      if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
         assert message.startswith("imgB: ")
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unreadable_label_file_in_cascade(self, rendered, caplog, strict):
+        (rendered / "labels" / "imgB" / "atoms.csv").mkdir(parents=True)
+        (rendered / "experts.conf").write_text(
+            f"boxes detections {rendered / 'labels'}\n")
+        (rendered / "ids.txt").write_text("imgA\nimgB\n")
+        argv = ["cascade", "--experts", str(rendered / "experts.conf"),
+                "--images", str(rendered / "ids.txt"),
+                "--out", str(rendered / "out.tsv")]
+        with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+            assert run(*argv, *(["--strict"] if strict else [])) == int(strict)
+        assert read_manifest(rendered / "out.tsv") == {"imgA": "C1CO1", "imgB": ""}
+        [message] = [rec.getMessage() for rec in caplog.records
+                     if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
+        assert message.endswith(" imgB")
+
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run the interpreter in a new process that imports this detmol."""

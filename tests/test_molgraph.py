@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from detmol import Atom, Bond, MolGraph, RepairError
 from detmol.entities import ATOM_CLASSES
 from detmol.molgraph import (
     DEFAULT_VALENCES, ORDER_VALUE, WILDCARD, ChemProblem, allowed_valences,
-    detect_problems, implicit_hydrogens, isomorphic, match_order, repair,
+    _search_mapping, detect_problems, implicit_hydrogens, isomorphic,
+    match_order, repair,
 )
 from detmol.smiles import parse
 from conftest import brute_force_isomorphic, permute_graph, random_molecule
@@ -315,7 +317,7 @@ class TestIsomorphism:
             ("C1CC1.C1CC1.[Cl-]", "C1CCCCC1.[Cl-]"),
             ("C1CC1.C1CC1.[Cl-]", "[Cl-].C1CC1.C1CC1"),
             ("CC.CC.[Cl-].[Cl-]", "[Cl-].CC.[Cl-].CC"),
-            # equal label and bond histograms: only the search tells them apart
+            # equal element and bond-order histograms
             ("CC(C)CC", "CCCCC"),
             ("C1CC1C", "C1CCC1"),
             ("CC(C)(C)C", "CCC(C)C"),
@@ -324,7 +326,8 @@ class TestIsomorphism:
         for a, b in pairs:
             assert isomorphic(a, b) == brute_force_isomorphic(a, b)
         # copies with one bond's endpoint moved keep both histograms too;
-        # both verdicts must occur among them
+        # both verdicts must occur among them.  The budget-0 search is checked
+        # on its own as well, since refinement turns most negatives away first
         verdicts = []
         while len(verdicts) < 150:
             a = random_molecule(rng, max_heavy=6)
@@ -342,7 +345,29 @@ class TestIsomorphism:
             b, _ = permute_graph(rng, MolGraph(a.atoms, tuple(bonds)))
             verdicts.append(brute_force_isomorphic(a, b))
             assert isomorphic(a, b) == verdicts[-1]
+            assert (_search_mapping(a, b, 0) is not None) == verdicts[-1]
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_wrong_isomer_beside_symmetric_groups_is_fast(self):
+        # each CF3CH2CF3 has 72 automorphisms; with element labels the search
+        # finds the difference in the last component only after about
+        # 3! * 72**3 mappings of the others, while refinement rejects the
+        # pair at once
+        u = "FC(F)(F)CC(F)(F)F"
+        a = parse(".".join([u] * 3 + ["CCCC(C)C"]))
+        b = parse(".".join([u] * 3 + ["CCC(C)CC"]))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("isomorphic took more than 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            assert not isomorphic(a, b)
+            assert isomorphic(a, permute_graph(random.Random(3), a)[0])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_regular_graphs_need_backtracking(self):
         # two 3-cycles vs one 6-cycle: identical degree/label refinement
