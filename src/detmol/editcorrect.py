@@ -13,8 +13,8 @@ from .entities import (
 )
 from .molgraph import (
     ORDER_VALUE, Atom, Bond, MolGraph, _labels, _search_mapping,
-    detect_problems, isomorphic, match_order, neighbours, order_sums,
-    over_valence,
+    connected_order, detect_problems, isomorphic, match_order, neighbours,
+    order_sums, over_valence,
 )
 
 EDIT_KINDS = (
@@ -233,29 +233,21 @@ def _script_from_mapping(
             working_index[i] = i - shift
 
     placed = {r: working_index[i] for r, i in owner.items()}
-    next_index = pred.n_atoms - len(deleted)
     nbrs_r = neighbours(ref)
     bundled: set[tuple[int, int]] = set()
-    remaining = {s for s in range(ref.n_atoms) if s not in placed}
-    while remaining:
-        anchored = sorted(
-            s for s in remaining if any(j in placed for j, _ in nbrs_r[s])
-        )
-        if anchored:
-            s = anchored[0]
-            j, code = min(row for row in nbrs_r[s] if row[0] in placed)
+    for s in connected_order(nbrs_r, lambda s: s, placed):
+        anchors = [row for row in nbrs_r[s] if row[0] in placed]
+        if anchors:
+            j, code = min(anchors)
             ops.append(EditOp.insert_atom(
                 ref.atoms[s].element, ref.atoms[s].formal_charge, placed[j], code,
             ))
             bundled.add((min(s, j), max(s, j)))
         else:
-            s = min(remaining)
             ops.append(EditOp.insert_atom(
                 ref.atoms[s].element, ref.atoms[s].formal_charge
             ))
-        placed[s] = next_index
-        next_index += 1
-        remaining.discard(s)
+        placed[s] = len(placed)  # the working index of the atom just appended
 
     for bond in sorted(ref.bonds, key=lambda b: b.pair):
         if bond.pair in kept_ref_pairs or bond.pair in bundled:

@@ -25,9 +25,17 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class PairScore:
+    """A prediction's score, with the parsed prediction (None when it does
+    not parse) and reference."""
+
     exact: bool
     tanimoto: float
-    pred_parsed: bool
+    pred_graph: MolGraph | None
+    ref_graph: MolGraph
+
+    @property
+    def pred_parsed(self) -> bool:
+        return self.pred_graph is not None
 
 
 def score_pair(pred: str, ref: str, fp_params: FpParams = FpParams()) -> PairScore:
@@ -36,14 +44,6 @@ def score_pair(pred: str, ref: str, fp_params: FpParams = FpParams()) -> PairSco
     An unparseable prediction scores (False, 0.0); an unparseable reference
     raises MetricsError.
     """
-    return _score_parsed(pred, ref, fp_params)[0]
-
-
-def _score_parsed(
-    pred: str, ref: str, fp_params: FpParams
-) -> tuple[PairScore, MolGraph | None, MolGraph]:
-    """score_pair's result with the parsed prediction (None when it does not
-    parse) and reference, for callers that go on to use the graphs."""
     try:
         ref_graph = parse(ref)
     except SmilesError as exc:
@@ -51,9 +51,9 @@ def _score_parsed(
     try:
         pred_graph = parse(pred)
     except SmilesError:
-        return PairScore(False, 0.0, False), None, ref_graph
+        return PairScore(False, 0.0, None, ref_graph)
     sim = tanimoto(ecfp(pred_graph, fp_params), ecfp(ref_graph, fp_params))
-    return PairScore(isomorphic(pred_graph, ref_graph), sim, True), pred_graph, ref_graph
+    return PairScore(isomorphic(pred_graph, ref_graph), sim, pred_graph, ref_graph)
 
 
 def type_counts(graph: MolGraph) -> Counter:
@@ -140,15 +140,15 @@ def evaluate_dataset(
         ref_smiles = references[image_id]
         pred_smiles = predictions.get(image_id, "")
         try:
-            pair, pred_graph, ref_graph = _score_parsed(pred_smiles, ref_smiles, fp_params)
+            pair = score_pair(pred_smiles, ref_smiles, fp_params)
         except MetricsError as exc:
             raise MetricsError(f"{image_id}: {exc}") from exc
         exact_hits += pair.exact
         t1_hits += pair.tanimoto == 1.0
         sim_total += pair.tanimoto
 
-        ref_counts = type_counts(ref_graph)
-        pred_counts = type_counts(pred_graph) if pred_graph is not None else Counter()
+        ref_counts = type_counts(pair.ref_graph)
+        pred_counts = type_counts(pair.pred_graph) if pair.pred_parsed else Counter()
         count_hits += pred_counts == ref_counts
         for key, n_ref in ref_counts.items():
             per_type_totals[key] += 1

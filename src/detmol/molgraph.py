@@ -256,29 +256,34 @@ def refine(nbrs: list[list[tuple[int, str]]], colors: list[int]) -> list[int]:
         colors = new
 
 
-def connected_order(nbrs: list[list[tuple[int, str]]], key) -> list[int]:
-    """All atoms, each chosen to touch an earlier one whenever some unchosen
-    atom does; among the candidates, the smallest `key(i)` goes first.
+def connected_order(nbrs: list[list[tuple[int, str]]], key, start=()) -> list[int]:
+    """The atoms not in `start`, each chosen to touch `start` or an earlier
+    choice whenever some unchosen atom does; among the candidates, the
+    smallest `key(i)` goes first.  `_search_mapping` orders every pred atom
+    from none; an edit script inserts the ref atoms left unowned in their
+    order from the owned ones.
 
     `key` must tell all atoms apart (end it with `i`)."""
     n = len(nbrs)
     by_key = iter(sorted(range(n), key=key))
-    placed = [False] * n
-    seen = [False] * n
+    order = list(start)
+    seen = [False] * n  # in `order` or in the frontier
+    for i in order:
+        seen[i] = True
     frontier: list[tuple] = []
-    order: list[int] = []
-    while len(order) < n:
-        if frontier:
-            i = heapq.heappop(frontier)[1]
-        else:
-            i = next(j for j in by_key if not placed[j])
-        placed[i] = seen[i] = True
-        order.append(i)
-        for j, _ in nbrs[i]:
+    for k in range(n):
+        if k == len(order):  # each atom in `order` has pushed its neighbours
+            if frontier:
+                i = heapq.heappop(frontier)[1]
+            else:  # every atom seen so far is in `order`
+                i = next(j for j in by_key if not seen[j])
+                seen[i] = True
+            order.append(i)
+        for j, _ in nbrs[order[k]]:
             if not seen[j]:
                 seen[j] = True
                 heapq.heappush(frontier, (key(j), j))
-    return order
+    return order[len(start):]
 
 
 def isomorphic(a: MolGraph, b: MolGraph) -> bool:
@@ -352,22 +357,7 @@ def _search_mapping(
     (element, formal charge) pairs.
     """
     labels_p, labels_r = labels or (_labels(pred), _labels(ref))
-    orders_p = [match_order(b.order) for b in pred.bonds]
-    orders_r = [match_order(b.order) for b in ref.bonds]
-    lower = max(
-        _histogram_gap(labels_p, labels_r),
-        abs(len(orders_p) - len(orders_r)),
-        _histogram_gap(orders_p, orders_r),
-    )
-    if lower > k_max:
-        return None
-
     n_pred, n_ref = pred.n_atoms, ref.n_atoms
-    nbrs_p = neighbours(pred)
-    rows_p = [dict(row) for row in nbrs_p]  # {neighbour: bond label}
-    rows_r = [dict(row) for row in neighbours(ref)]
-    sorted_r = [sorted(row) for row in rows_r]
-    ref_pairs = [b.pair for b in ref.bonds]
     ids = {label: k for k, label in enumerate(dict.fromkeys(labels_p + labels_r))}
     lab_p = [ids[x] for x in labels_p]
     lab_r = [ids[x] for x in labels_r]
@@ -379,6 +369,19 @@ def _search_mapping(
     for x in lab_r:
         rem_r[x] += 1
     overlap = sum(map(min, rem_p, rem_r))
+    orders_p = [match_order(b.order) for b in pred.bonds]
+    orders_r = [match_order(b.order) for b in ref.bonds]
+    lower = max(
+        max(n_pred, n_ref) - overlap,
+        abs(len(orders_p) - len(orders_r)),
+        _histogram_gap(orders_p, orders_r),
+    )
+    if lower > k_max:
+        return None
+
+    nbrs_p = neighbours(pred)
+    rows_p = [dict(row) for row in nbrs_p]  # {neighbour: bond label}
+    rows_r = [dict(row) for row in neighbours(ref)]
     free_r = n_ref
     surplus = [0] * n_pred  # a(i) - b(i) of each assigned pred atom
 
@@ -393,40 +396,38 @@ def _search_mapping(
     fixed_at: list[tuple[list[tuple[int, str, bool]], int]] = [([], 0)] * n_pred
 
     def completion_cost() -> int:
-        missing = [s for s in range(n_ref) if ref_owner[s] < 0]
-        if not missing:
-            return 0
-        missing_set = set(missing)
-        incident = sum(
-            1 for pair in ref_pairs
-            if pair[0] in missing_set or pair[1] in missing_set
-        )
-        islands = 0
+        """Cost of inserting the unowned ref atoms and every ref bond that
+        touches one.  Each is one op, but each atom brings one of the bonds
+        in its own op, except the first atom of an island (a component of
+        unowned atoms bonded to no owned one): the bonds plus the islands.
+        One walk over the unowned atoms counts a bond to an owned atom once
+        and a bond between two unowned atoms twice."""
+        islands = outer = inner = 0
         seen: set[int] = set()
-        for s in missing:
-            if s in seen:
+        for s in range(n_ref):
+            if ref_owner[s] >= 0 or s in seen:
                 continue
             stack, anchored = [s], False
             seen.add(s)
             while stack:
                 node = stack.pop()
                 for other in rows_r[node]:
-                    if other in missing_set:
+                    if ref_owner[other] < 0:
+                        inner += 1
                         if other not in seen:
                             seen.add(other)
                             stack.append(other)
                     else:
+                        outer += 1
                         anchored = True
             if not anchored:
                 islands += 1
-        return len(missing) + incident - (len(missing) - islands)
+        return outer + inner // 2 + islands
 
+    if n_pred == 0:
+        total = completion_cost()  # never below `lower`
+        return (total, []) if total <= k_max else None
     for budget in range(lower, k_max + 1):
-        if n_pred == 0:
-            total = completion_cost()
-            if total <= budget:
-                return total, []
-            continue
         depth = 0
         untried_at[0] = iter(range(n_ref))
         while depth >= 0:
@@ -561,8 +562,6 @@ def _search_mapping(
             # neighbour's image already costs too much
             if budget - cost - j_deleted >= len(j_placed):
                 untried_at[depth] = iter(range(n_ref))
-            elif len(j_placed) == 1:
-                untried_at[depth] = iter(sorted_r[j_placed[0][0]])
             else:
                 untried_at[depth] = iter(sorted(
                     {s for fj, _, _ in j_placed for s in rows_r[fj]}))

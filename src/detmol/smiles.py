@@ -6,8 +6,8 @@ import re
 
 from .entities import ATOM_CLASSES
 from .molgraph import (
-    Atom, Bond, MolGraph, atom_invariants, dense_rank, match_order, neighbours,
-    refine,
+    Atom, Bond, MolGraph, _labels, atom_invariants, dense_rank, match_order,
+    neighbours, refine,
 )
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "S", "P", "F", "I")
@@ -266,7 +266,7 @@ def canonical_ranks(graph: MolGraph) -> dict[int, int]:
     if n == 0:
         return {}
     nbrs = neighbours(graph)
-    labels = [(a.element, a.formal_charge) for a in graph.atoms]
+    labels = _labels(graph)
     edges = [(b.u, b.v, match_order(b.order)) for b in graph.bonds]
 
     def certificate(colors: list[int]) -> tuple:

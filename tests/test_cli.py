@@ -397,6 +397,21 @@ class TestErrorBoundary:
     def test_bad_input(self, rendered, capsys, argv):
         self.check(rendered, argv, capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "--detections", "{d}/truth.tsv"], "not a directory"),
+        (["edit-correct", "--detections", "{d}/labels",
+          "--references", "{d}/truth.tsv", "--k-max", "-1"], "--k-max must be >= 0"),
+        (["perturb", "--smiles", "CC", "--edits", "-1", "--out", "{d}/more"],
+         "--edits must be >= 0"),
+    ], ids=["detections-file", "k-max", "edits"])
+    def test_bad_value(self, rendered, capsys, argv, message):
+        capsys.readouterr()
+        assert run(*(arg.format(d=rendered) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (rendered / "more").exists()
+
 
 class TestPerImageFailure:
     """An image whose id or label files cannot be used is logged and counted;
@@ -639,6 +654,22 @@ class TestLogging:
         monkeypatch.setenv("DETMOL_LOG", "LOUD")
         assert run("fingerprint", "C") == 0
         assert logging.getLogger("detmol").level == logging.WARNING
+
+    def test_dropped_bond_logged(self, tmp_path, caplog):
+        # the second bond box lies far from both atoms
+        image = tmp_path / "labels" / "img1"
+        image.mkdir(parents=True)
+        (image / "atoms.csv").write_text(
+            "label,xmin,ymin,xmax,ymax\n0,-10,-10,10,10\n0,50,-10,70,10\n")
+        (image / "bonds.csv").write_text(
+            "label,xmin,ymin,xmax,ymax\n1,-8,-8,68,8\n1,1000,1000,1010,1010\n")
+        with caplog.at_level(logging.WARNING, logger="detmol.cli"):
+            assert run("construct", "--detections", str(tmp_path / "labels"),
+                       "--out", str(tmp_path / "out.tsv")) == 0
+        assert [rec.getMessage() for rec in caplog.records
+                if rec.name == "detmol.cli"] == [
+            "WARN img1 dropped_bond 1 reason=no_endpoints"]
+        assert read_manifest(tmp_path / "out.tsv") == {"img1": "CC"}
 
     def test_construct_failure_logged(self, tmp_path, caplog):
         labels = tmp_path / "labels"

@@ -369,6 +369,20 @@ class TestEditCorrect:
             for k_max in range(cost, 5):
                 assert edit_correct(pred, ref, k_max).script == found.script
 
+    def test_empty_prediction_inserts_every_atom(self):
+        empty = MolGraph((), ())
+        found = edit_correct(empty, parse("CC=O"), 3)
+        assert found.script.ops == (
+            EditOp.insert_atom("C"),
+            EditOp.insert_atom("C", attach_to=0, order="single"),
+            EditOp.insert_atom("O", attach_to=1, order="double"),
+        )
+        assert edit_correct(empty, parse("CC=O"), 2) is None
+
+    def test_empty_prediction_of_empty_reference(self):
+        empty = MolGraph((), ())
+        assert edit_correct(empty, empty, 0).script.ops == ()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_self_distance_zero(self, seed):
@@ -1081,3 +1095,70 @@ class TestSearchBound:
             capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 0, done.stderr
+
+
+def anchored_insertion_order(ref: MolGraph, owned: set[int]) -> list[int]:
+    """The order in which an edit script inserted the ref atoms that the
+    search left unowned, before it used connected_order: the least atom
+    bonded to a placed one first, else the least atom left.  The loop is
+    kept verbatim, with each insertion recorded in place of its op, as the
+    oracle for connected_order's `start`."""
+    placed = dict.fromkeys(owned)
+    nbrs_r = neighbours(ref)
+    order = []
+    remaining = {s for s in range(ref.n_atoms) if s not in placed}
+    while remaining:
+        anchored = sorted(
+            s for s in remaining if any(j in placed for j, _ in nbrs_r[s])
+        )
+        if anchored:
+            s = anchored[0]
+        else:
+            s = min(remaining)
+        order.append(s)
+        placed[s] = None
+        remaining.discard(s)
+    return order
+
+
+class TestInsertionOrder:
+    """connected_order from the owned ref atoms against the loop it replaced
+    in the edit script."""
+
+    def test_removed_atoms(self):
+        # pred is a random molecule with 1-3 atoms removed and the rest
+        # permuted; k_max covers re-inserting them
+        rng = random.Random(17)
+        for _ in range(300):
+            ref = random_molecule(rng)
+            while ref.n_atoms < 4:
+                ref = random_molecule(rng)
+            gone = set(rng.sample(range(ref.n_atoms), rng.randint(1, 3)))
+            keep = [i for i in range(ref.n_atoms) if i not in gone]
+            rng.shuffle(keep)
+            new = {old: k for k, old in enumerate(keep)}
+            pred = MolGraph(
+                tuple(ref.atoms[i] for i in keep),
+                tuple(Bond(new[b.u], new[b.v], b.order) for b in ref.bonds
+                      if b.u in new and b.v in new))
+            k_max = len(gone) + sum(1 for b in ref.bonds if b.u in gone or b.v in gone)
+            _, mapping = _search_mapping(pred, ref, k_max)
+            owned = {r for r in mapping if r >= 0}
+            want = anchored_insertion_order(ref, owned)
+            assert want
+            assert connected_order(neighbours(ref), lambda s: s, owned) == want
+            found = edit_correct(pred, ref, k_max)
+            assert [op.element for op in found.script.ops
+                    if op.kind == "insert_atom"] == [ref.atoms[s].element for s in want]
+
+    @pytest.mark.parametrize("smiles, owned, want", [
+        ("CC=O", set(), [0, 1, 2]),
+        ("CC=O", {2}, [1, 0]),
+        ("CCO.N.CC", {0}, [1, 2, 3, 4, 5]),
+        ("CCO.N.CC", {3, 5}, [4, 0, 1, 2]),
+        ("OCC(O)CO", {2}, [1, 0, 3, 4, 5]),
+    ])
+    def test_start(self, smiles, owned, want):
+        ref = parse(smiles)
+        order = connected_order(neighbours(ref), lambda s: s, owned)
+        assert order == want == anchored_insertion_order(ref, owned)
