@@ -371,11 +371,7 @@ def _search_mapping(
     overlap = sum(map(min, rem_p, rem_r))
     orders_p = [match_order(b.order) for b in pred.bonds]
     orders_r = [match_order(b.order) for b in ref.bonds]
-    lower = max(
-        max(n_pred, n_ref) - overlap,
-        abs(len(orders_p) - len(orders_r)),
-        _histogram_gap(orders_p, orders_r),
-    )
+    lower = max(max(n_pred, n_ref) - overlap, _histogram_gap(orders_p, orders_r))
     if lower > k_max:
         return None
 

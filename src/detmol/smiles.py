@@ -6,8 +6,8 @@ import re
 
 from .entities import ATOM_CLASSES
 from .molgraph import (
-    Atom, Bond, MolGraph, _labels, atom_invariants, dense_rank, match_order,
-    neighbours, refine,
+    MAX_CHARGE, MIN_CHARGE, Atom, Bond, MolGraph, _labels, atom_invariants,
+    dense_rank, match_order, neighbours, refine,
 )
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "S", "P", "F", "I")
@@ -34,199 +34,165 @@ class SmilesError(ValueError):
         self.offset = offset
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.atoms: list[Atom] = []
-        self.aromatic: list[bool] = []
-        self.bonds: dict[tuple[int, int], Bond] = {}
-        self.anchor: int | None = None
-        self.branch_stack: list[int | None] = []
-        self.pending_order: str | None = None
-        self.pending_order_pos = 0
-        self.pending_stereo = False
-        self.open_rings: dict[int, tuple[int, str | None]] = {}
+# the atom that each symbol outside brackets spells, and whether the symbol
+# is an aromatic letter; atoms are immutable, so every parse shares these
+_BARE_ATOMS = {symbol: (Atom(symbol), False) for symbol in ORGANIC_SUBSET + ("*",)}
+_BARE_ATOMS.update(
+    (letter, (Atom(element), True)) for letter, element in AROMATIC_LETTERS.items()
+)
 
-    def error(self, message: str, offset: int | None = None) -> SmilesError:
-        return SmilesError(message, self.pos if offset is None else offset)
 
-    def add_atom(self, element: str, charge: int, stereo: bool, aromatic: bool) -> None:
-        if self.pending_stereo:
-            stereo = True
-            self.pending_stereo = False
-        try:
-            atom = Atom(element, charge, stereo)
-        except ValueError as exc:
-            raise self.error(str(exc))
-        index = len(self.atoms)
-        self.atoms.append(atom)
-        self.aromatic.append(aromatic)
-        if self.anchor is not None:
-            order = self.pending_order
-            if order is None:
-                order = "aromatic" if self.aromatic[self.anchor] and aromatic else "single"
-            self.add_bond(self.anchor, index, order)
-        elif self.pending_order is not None:
-            raise self.error("bond symbol without a preceding atom",
-                             self.pending_order_pos)
-        self.pending_order = None
-        self.anchor = index
+def _alternatives(symbols) -> str:
+    return "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
 
-    def add_bond(self, u: int, v: int, order: str) -> None:
-        if u == v:
-            raise self.error("ring bond closes onto its own atom")
-        key = (min(u, v), max(u, v))
-        if key in self.bonds:
-            raise self.error(f"duplicate bond between atoms {u} and {v}")
-        self.bonds[key] = Bond(u, v, order)
 
-    def ring_closure(self, number: int) -> None:
-        if self.anchor is None:
-            raise self.error("ring closure before any atom")
-        if number in self.open_rings:
-            partner, opening_order = self.open_rings.pop(number)
-            order = self.pending_order
-            if order is not None and opening_order is not None and order != opening_order:
-                raise self.error(f"ring bond {number} declared with two orders")
-            order = order or opening_order
-            if order is None:
-                both_aromatic = self.aromatic[partner] and self.aromatic[self.anchor]
-                order = "aromatic" if both_aromatic else "single"
-            self.add_bond(partner, self.anchor, order)
-        else:
-            self.open_rings[number] = (self.anchor, self.pending_order)
-        self.pending_order = None
+# One named alternative per token kind.  The last matches any one character,
+# so the scan skips no text: it takes an unterminated '[', a '%' without two
+# digits or an unexpected character.
+_TOKEN = re.compile(
+    r"(?P<bracket>\[[^\]]*\])"
+    f"|(?P<bare>{_alternatives(_BARE_ATOMS)})"
+    f"|(?P<bond>{_alternatives(_BOND_SYMBOLS)})"
+    r"|(?P<ring>\d|%\d\d)"
+    r"|(?P<open>\()|(?P<close>\))|(?P<dot>\.)"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
-    def parse_bracket(self) -> None:
-        start = self.pos
-        end = self.text.find("]", start)
-        if end < 0:
-            raise self.error("unterminated bracket atom", start)
-        body = self.text[start + 1:end]
-        match = _BRACKET.fullmatch(body)
-        if not match or not body:
-            raise self.error(f"malformed bracket atom [{body}]", start)
-        isotope, element = match.group("isotope"), match.group("element")
-        if isotope is not None:
-            if element != "H" or isotope not in ("2", "3"):
-                raise self.error(f"unsupported isotope [{body}]", start)
-            element = "D" if isotope == "2" else "T"
-        elif element in AROMATIC_LETTERS:
-            element = AROMATIC_LETTERS[element]
-        elif element == "*":
-            pass
-        elif element not in _ELEMENTS:
-            raise self.error(f"unknown element {element!r}", start)
-        hcount = match.group("hcount")
-        if hcount is not None and element in ("H", "D", "T"):
-            raise self.error("hydrogen atom with a hydrogen count", start)
-        charge = self._parse_charge(match.group("charge"), start)
-        aromatic = match.group("element") in AROMATIC_LETTERS
-        # Explicit hydrogen counts are accepted but re-derived from valence.
-        self.add_atom(element, charge, match.group("stereo") is not None, aromatic)
-        self.pos = end + 1
 
-    def _parse_charge(self, token: str | None, offset: int) -> int:
-        if token is None:
-            return 0
-        sign = 1 if token[0] == "+" else -1
-        digits = token.lstrip("+-")
-        if digits:
-            if len(set(token[:len(token) - len(digits)])) != 1:
-                raise self.error(f"bad charge {token!r}", offset)
-            magnitude = int(digits)
-        else:
-            if len(set(token)) != 1:
-                raise self.error(f"bad charge {token!r}", offset)
-            magnitude = len(token)
-        charge = sign * magnitude
-        if not -2 <= charge <= 6:
-            raise self.error(f"charge {charge:+d} outside the supported range", offset)
-        return charge
+def _charge(token: str | None, offset: int) -> int:
+    """The formal charge of a bracket atom's charge token: '+', '--', '-2'."""
+    if token is None:
+        return 0
+    digits = token.lstrip("+-")
+    if not digits and len(set(token)) != 1:
+        raise SmilesError(f"bad charge {token!r}", offset)
+    charge = (1 if token[0] == "+" else -1) * (int(digits) if digits else len(token))
+    if not MIN_CHARGE <= charge <= MAX_CHARGE:
+        raise SmilesError(f"charge {charge:+d} outside the supported range", offset)
+    return charge
 
-    def run(self) -> MolGraph:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "[":
-                self.parse_bracket()
-            elif text.startswith(("Cl", "Br"), self.pos):
-                self.add_atom(text[self.pos:self.pos + 2], 0, False, False)
-                self.pos += 2
-            elif ch in "BCNOSPFI":
-                self.add_atom(ch, 0, False, False)
-                self.pos += 1
-            elif ch in AROMATIC_LETTERS:
-                self.add_atom(AROMATIC_LETTERS[ch], 0, False, True)
-                self.pos += 1
-            elif ch == "*":
-                self.add_atom("*", 0, False, False)
-                self.pos += 1
-            elif ch in _BOND_SYMBOLS:
-                if self.pending_order is not None:
-                    raise self.error("two bond symbols in a row")
-                if self.anchor is None:
-                    raise self.error("bond symbol without a preceding atom")
-                self.pending_order = _BOND_SYMBOLS[ch]
-                self.pending_order_pos = self.pos
-                if ch in "/\\":
-                    self.pending_stereo = True
-                self.pos += 1
-            elif ch.isdigit():
-                self.ring_closure(int(ch))
-                self.pos += 1
-            elif ch == "%":
-                digits = text[self.pos + 1:self.pos + 3]
-                if len(digits) != 2 or not digits.isdigit():
-                    raise self.error("'%' needs two digits")
-                self.ring_closure(int(digits))
-                self.pos += 3
-            elif ch == "(":
-                if self.anchor is None:
-                    raise self.error("branch before any atom")
-                if self.pending_order is not None:
-                    raise self.error("bond symbol before a branch open")
-                self.branch_stack.append(self.anchor)
-                self.pos += 1
-            elif ch == ")":
-                if not self.branch_stack:
-                    raise self.error("unbalanced ')'")
-                if self.pending_order is not None:
-                    raise self.error("dangling bond symbol before ')'")
-                self.anchor = self.branch_stack.pop()
-                self.pos += 1
-            elif ch == ".":
-                if self.pending_order is not None:
-                    raise self.error("bond symbol before '.'")
-                if self.anchor is None:
-                    raise self.error("'.' before any atom")
-                self.anchor = None
-                self.pos += 1
-            else:
-                raise self.error(f"unexpected character {ch!r}")
-        if self.branch_stack:
-            raise self.error("unbalanced '('")
-        if self.pending_order is not None:
-            raise self.error("dangling bond symbol", self.pending_order_pos)
-        if self.open_rings:
-            number = min(self.open_rings)
-            raise self.error(f"ring bond {number} never closed")
-        if not self.atoms:
-            raise self.error("empty SMILES", 0)
-        return MolGraph(tuple(self.atoms), tuple(self.bonds.values()))
+
+def _bracket_atom(body: str, offset: int) -> tuple[Atom, bool]:
+    """The atom that `[body]` at `offset` spells, and whether it is written
+    as an aromatic letter.  An explicit hydrogen count is accepted but
+    re-derived from valence."""
+    match = _BRACKET.fullmatch(body)
+    if not match:
+        raise SmilesError(f"malformed bracket atom [{body}]", offset)
+    isotope, symbol = match.group("isotope"), match.group("element")
+    element = AROMATIC_LETTERS.get(symbol, symbol)
+    if isotope is not None:
+        if symbol != "H" or isotope not in ("2", "3"):
+            raise SmilesError(f"unsupported isotope [{body}]", offset)
+        element = "D" if isotope == "2" else "T"
+    elif element not in _ELEMENTS:
+        raise SmilesError(f"unknown element {symbol!r}", offset)
+    if match.group("hcount") is not None and element in ("H", "D", "T"):
+        raise SmilesError("hydrogen atom with a hydrogen count", offset)
+    charge = _charge(match.group("charge"), offset)
+    atom = Atom(element, charge, match.group("stereo") is not None)
+    return atom, symbol in AROMATIC_LETTERS
 
 
 def parse(text: str) -> MolGraph:
     """Parse a SMILES string into a molecular graph.
 
-    Organic-subset atoms, bracket atoms with charge and hydrogen counts,
-    aromatic lowercase forms, branches, ring closures (including %nn) and
-    dot-separated fragments are supported.  Stereo markers are accepted and
-    reduced to per-atom stereocenter flags; hydrogen counts are re-derived
-    from valence rather than stored.
+    One pass over the tokens of `_TOKEN`.  Organic-subset atoms, bracket
+    atoms with charge and hydrogen counts, aromatic lowercase forms,
+    branches, ring closures (including %nn) and dot-separated fragments are
+    supported.  A bond with no symbol, in a chain or at a ring closure, is
+    aromatic between two aromatic letters and single otherwise.  Stereo
+    markers are accepted and reduced to per-atom stereocenter flags; a '/'
+    or '\\' bond flags the next atom.  Hydrogen counts are re-derived from
+    valence rather than stored.
     """
-    return _Parser(text).run()
+    atoms: list[Atom] = []
+    aromatic: list[bool] = []
+    bonds: dict[tuple[int, int], Bond] = {}
+    anchor: int | None = None  # the atom the next chain bond starts from
+    branches: list[int] = []  # the anchors to return to at each ')'
+    order: str | None = None  # the order of a bond symbol not yet used
+    order_at = 0
+    stereo_bond = False  # a '/' or '\' bond since the last atom
+    rings: dict[int, tuple[int, str | None]] = {}  # open number: (atom, order)
+
+    def add_bond(u: int, v: int, order: str | None, offset: int) -> None:
+        if order is None:
+            order = "aromatic" if aromatic[u] and aromatic[v] else "single"
+        if u == v:
+            raise SmilesError("ring bond closes onto its own atom", offset)
+        key = (min(u, v), max(u, v))
+        if key in bonds:
+            raise SmilesError(f"duplicate bond between atoms {u} and {v}", offset)
+        bonds[key] = Bond(u, v, order)
+
+    for match in _TOKEN.finditer(text):
+        kind, token, at = match.lastgroup, match.group(), match.start()
+        if kind in ("bare", "bracket"):
+            if kind == "bare":
+                atom, lower = _BARE_ATOMS[token]
+            else:
+                atom, lower = _bracket_atom(token[1:-1], at)
+            if stereo_bond:
+                atom = Atom(atom.element, atom.formal_charge, True)
+            atoms.append(atom)
+            aromatic.append(lower)
+            if anchor is not None:
+                add_bond(anchor, len(atoms) - 1, order, at)
+            anchor, order, stereo_bond = len(atoms) - 1, None, False
+        elif kind == "bond":
+            if order is not None:
+                raise SmilesError("two bond symbols in a row", at)
+            if anchor is None:
+                raise SmilesError("bond symbol without a preceding atom", at)
+            order, order_at = _BOND_SYMBOLS[token], at
+            stereo_bond = stereo_bond or token in "/\\"
+        elif kind == "ring":
+            if anchor is None:
+                raise SmilesError("ring closure before any atom", at)
+            number = int(token.lstrip("%"))
+            if number in rings:
+                partner, opened = rings.pop(number)
+                if order and opened and order != opened:
+                    raise SmilesError(f"ring bond {number} declared with two orders", at)
+                add_bond(partner, anchor, order or opened, at)
+            else:
+                rings[number] = (anchor, order)
+            order = None
+        elif kind == "open":
+            if anchor is None:
+                raise SmilesError("branch before any atom", at)
+            if order is not None:
+                raise SmilesError("bond symbol before a branch open", at)
+            branches.append(anchor)
+        elif kind == "close":
+            if not branches:
+                raise SmilesError("unbalanced ')'", at)
+            if order is not None:
+                raise SmilesError("dangling bond symbol before ')'", at)
+            anchor = branches.pop()
+        elif kind == "dot":
+            if order is not None:
+                raise SmilesError("bond symbol before '.'", at)
+            if anchor is None:
+                raise SmilesError("'.' before any atom", at)
+            anchor = None
+        elif token == "[":
+            raise SmilesError("unterminated bracket atom", at)
+        elif token == "%":
+            raise SmilesError("'%' needs two digits", at)
+        else:
+            raise SmilesError(f"unexpected character {token!r}", at)
+    if branches:
+        raise SmilesError("unbalanced '('", len(text))
+    if order is not None:
+        raise SmilesError("dangling bond symbol", order_at)
+    if rings:
+        raise SmilesError(f"ring bond {min(rings)} never closed", len(text))
+    if not atoms:
+        raise SmilesError("empty SMILES", 0)
+    return MolGraph(tuple(atoms), tuple(bonds.values()))
 
 
 def _merge_orbits(roots: dict[int, int], cell: list[int], gamma: list[int]) -> None:
@@ -350,7 +316,7 @@ def canonical_ranks(graph: MolGraph) -> dict[int, int]:
     return dict(enumerate(best[1]))
 
 
-def _atom_token(atom: Atom, aromatic: bool) -> str:
+def _atom_token(atom: Atom, lower: bool) -> str:
     if atom.element == "D":
         symbol, bracket = "2H", True
     elif atom.element == "T":
@@ -358,7 +324,6 @@ def _atom_token(atom: Atom, aromatic: bool) -> str:
     elif atom.element == "H":
         symbol, bracket = "H", True
     else:
-        lower = aromatic and atom.element in AROMATIC_LETTERS.values()
         symbol = atom.element.lower() if lower else atom.element
         bracket = atom.element not in ORGANIC_SUBSET and atom.element != "*"
     if atom.formal_charge != 0:
@@ -382,13 +347,20 @@ def write(graph: MolGraph) -> str:
         return ""
     ranks = canonical_ranks(graph)
     nbrs = neighbours(graph)
-    aromatic = [sum(code == "aromatic" for _, code in row) >= 2 for row in nbrs]
+    # an atom with two aromatic bonds is spelled as an aromatic letter when
+    # it has one; parse reads a bond with no symbol between two such letters
+    # as aromatic, and any other as single
+    lower = [
+        sum(code == "aromatic" for _, code in row) >= 2
+        and atom.element in AROMATIC_LETTERS.values()
+        for atom, row in zip(graph.atoms, nbrs)
+    ]
 
     def bond_symbol(u: int, v: int, code: str) -> str:
         if code == "single":
-            return "-" if aromatic[u] and aromatic[v] else ""
+            return "-" if lower[u] and lower[v] else ""
         if code == "aromatic":
-            return "" if aromatic[u] and aromatic[v] else ":"
+            return "" if lower[u] and lower[v] else ":"
         return {"double": "=", "triple": "#"}[code]
 
     def by_rank(node: int) -> list[tuple[int, str]]:
@@ -445,7 +417,7 @@ def write(graph: MolGraph) -> str:
             if isinstance(node, str):
                 emitted.append(node)
                 continue
-            emitted.append(_atom_token(graph.atoms[node], aromatic[node]))
+            emitted.append(_atom_token(graph.atoms[node], lower[node]))
             for other, symbol, pair in sorted(closures[node], key=lambda c: ranks[c[0]]):
                 if pair not in marker_of:
                     if not free:

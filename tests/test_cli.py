@@ -412,6 +412,30 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert not (rendered / "more").exists()
 
+    def test_bad_reference_names_its_image(self, rendered, capsys):
+        (rendered / "ring.tsv").write_text("img1\tC1CC\n")
+        capsys.readouterr()
+        assert run("edit-correct", "--detections", str(rendered / "labels"),
+                   "--references", str(rendered / "ring.tsv")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "error: img1: bad reference: offset 4: ring bond 1 never closed")
+
+    def test_edit_correct_detections_file(self, rendered, capsys):
+        capsys.readouterr()
+        assert run("edit-correct", "--detections", str(rendered / "truth.tsv"),
+                   "--references", str(rendered / "truth.tsv")) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: not a directory")
+
+    def test_evaluate_boxes_against_themselves(self, rendered, capsys):
+        truth, labels = str(rendered / "truth.tsv"), str(rendered / "labels")
+        capsys.readouterr()
+        assert run("evaluate", "--predictions", truth, "--references", truth,
+                   "--pred-detections", labels, "--ref-detections", labels,
+                   "--json") == 0
+        assert json.loads(capsys.readouterr().out)["map"] == 1.0
+
 
 class TestPerImageFailure:
     """An image whose id or label files cannot be used is logged and counted;

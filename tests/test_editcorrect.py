@@ -186,6 +186,15 @@ class TestEditOp:
         assert script.cost == 2
         assert EditScript(()).cost == 0
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown edit kind 'bogus'"):
+            EditOp("bogus")
+
+    def test_negative_budget(self):
+        g = parse("CCO")
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            edit_correct(g, g, -1)
+
 
 class TestApplyOp:
     def test_relabel_atom(self):

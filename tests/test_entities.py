@@ -107,6 +107,23 @@ class TestLabelFiles:
         again = parse_label_file(write_label_file(ch), "bond")
         assert again == ch
 
+    def test_missing_header(self):
+        with pytest.raises(LabelFileError, match="line 1: missing header"):
+            parse_label_file("", "atom")
+
+    def test_wrong_field_count(self):
+        text = "label,xmin,ymin,xmax,ymax\n0,1,2,11\n"
+        with pytest.raises(LabelFileError, match="line 2: expected 5 fields, got 4"):
+            parse_label_file(text, "atom")
+
+    def test_channel_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown channel kind: 'ring'"):
+            EntityChannel("ring", ())
+
+    def test_channel_class_id_outside_vocabulary(self):
+        with pytest.raises(ValueError, match="class id 99 not in atom vocabulary"):
+            EntityChannel("atom", (DetBox(BBox(0, 0, 4, 4), 99),))
+
 
 class TestEntitySetIO:
     def test_roundtrip_directory(self, tmp_path):

@@ -134,6 +134,34 @@ class TestValences:
         for element in ATOM_CLASSES.values():
             assert element in DEFAULT_VALENCES or element == WILDCARD, element
 
+    def test_unknown_element_has_no_entry(self):
+        with pytest.raises(ValueError, match="no valence entry for element 'Xx'"):
+            allowed_valences("Xx", 0)
+
+
+class TestValueChecks:
+    """The constructors reject values no graph may hold."""
+
+    def test_atom_charge_out_of_range(self):
+        with pytest.raises(ValueError, match="formal charge 7 out of range"):
+            Atom("S", 7)
+
+    def test_bond_unknown_order(self):
+        with pytest.raises(ValueError, match="unknown bond order 'quadruple'"):
+            Bond(0, 1, "quadruple")
+
+    def test_bond_endpoints_must_differ(self):
+        with pytest.raises(ValueError, match="bond endpoints must differ"):
+            Bond(1, 1, "single")
+
+    def test_graph_bond_to_a_missing_atom(self):
+        with pytest.raises(ValueError, match=r"bond \(0, 2\) references a missing atom"):
+            MolGraph((Atom("C"), Atom("C")), (Bond(0, 2, "single"),))
+
+    def test_graph_duplicate_bond(self):
+        with pytest.raises(ValueError, match=r"duplicate bond between \(0, 1\)"):
+            MolGraph((Atom("C"), Atom("C")), (Bond(0, 1, "single"), Bond(1, 0, "double")))
+
 
 class TestProblems:
     def test_clean_graph(self):

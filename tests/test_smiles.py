@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import detmol
 from detmol import (
     Atom, Bond, MolGraph, SmilesError, canonical_ranks, isomorphic, parse, write,
 )
+from detmol.entities import ATOM_CLASSES
 from detmol.molgraph import atom_invariants, dense_rank, match_order, neighbours, refine
 from conftest import permute_graph, random_molecule
 
@@ -136,6 +138,236 @@ def exhaustive_ranks(graph: MolGraph) -> dict[int, int]:
             for member in classes[min(tied)]
         ]))
     return dict(enumerate(best))
+
+
+# The character-at-a-time parser that the token scan in `parse` replaced,
+# kept verbatim with the tables it reads: the oracle for the scan.
+AROMATIC_LETTERS = {"b": "B", "c": "C", "n": "N", "o": "O", "s": "S", "p": "P"}
+
+_BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
+                 "/": "single", "\\": "single"}
+_ELEMENTS = set(ATOM_CLASSES.values()) - {"D", "T"}
+
+_BRACKET = re.compile(
+    r"(?P<isotope>\d+)?"
+    r"(?P<element>\*|[A-Za-z][a-z]?)"
+    r"(?P<stereo>@@|@)?"
+    r"(?P<hcount>H\d*)?"
+    r"(?P<charge>[+-]\d+|[+-]+)?"
+)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.atoms: list[Atom] = []
+        self.aromatic: list[bool] = []
+        self.bonds: dict[tuple[int, int], Bond] = {}
+        self.anchor: int | None = None
+        self.branch_stack: list[int | None] = []
+        self.pending_order: str | None = None
+        self.pending_order_pos = 0
+        self.pending_stereo = False
+        self.open_rings: dict[int, tuple[int, str | None]] = {}
+
+    def error(self, message: str, offset: int | None = None) -> SmilesError:
+        return SmilesError(message, self.pos if offset is None else offset)
+
+    def add_atom(self, element: str, charge: int, stereo: bool, aromatic: bool) -> None:
+        if self.pending_stereo:
+            stereo = True
+            self.pending_stereo = False
+        try:
+            atom = Atom(element, charge, stereo)
+        except ValueError as exc:
+            raise self.error(str(exc))
+        index = len(self.atoms)
+        self.atoms.append(atom)
+        self.aromatic.append(aromatic)
+        if self.anchor is not None:
+            order = self.pending_order
+            if order is None:
+                order = "aromatic" if self.aromatic[self.anchor] and aromatic else "single"
+            self.add_bond(self.anchor, index, order)
+        elif self.pending_order is not None:
+            raise self.error("bond symbol without a preceding atom",
+                             self.pending_order_pos)
+        self.pending_order = None
+        self.anchor = index
+
+    def add_bond(self, u: int, v: int, order: str) -> None:
+        if u == v:
+            raise self.error("ring bond closes onto its own atom")
+        key = (min(u, v), max(u, v))
+        if key in self.bonds:
+            raise self.error(f"duplicate bond between atoms {u} and {v}")
+        self.bonds[key] = Bond(u, v, order)
+
+    def ring_closure(self, number: int) -> None:
+        if self.anchor is None:
+            raise self.error("ring closure before any atom")
+        if number in self.open_rings:
+            partner, opening_order = self.open_rings.pop(number)
+            order = self.pending_order
+            if order is not None and opening_order is not None and order != opening_order:
+                raise self.error(f"ring bond {number} declared with two orders")
+            order = order or opening_order
+            if order is None:
+                both_aromatic = self.aromatic[partner] and self.aromatic[self.anchor]
+                order = "aromatic" if both_aromatic else "single"
+            self.add_bond(partner, self.anchor, order)
+        else:
+            self.open_rings[number] = (self.anchor, self.pending_order)
+        self.pending_order = None
+
+    def parse_bracket(self) -> None:
+        start = self.pos
+        end = self.text.find("]", start)
+        if end < 0:
+            raise self.error("unterminated bracket atom", start)
+        body = self.text[start + 1:end]
+        match = _BRACKET.fullmatch(body)
+        if not match or not body:
+            raise self.error(f"malformed bracket atom [{body}]", start)
+        isotope, element = match.group("isotope"), match.group("element")
+        if isotope is not None:
+            if element != "H" or isotope not in ("2", "3"):
+                raise self.error(f"unsupported isotope [{body}]", start)
+            element = "D" if isotope == "2" else "T"
+        elif element in AROMATIC_LETTERS:
+            element = AROMATIC_LETTERS[element]
+        elif element == "*":
+            pass
+        elif element not in _ELEMENTS:
+            raise self.error(f"unknown element {element!r}", start)
+        hcount = match.group("hcount")
+        if hcount is not None and element in ("H", "D", "T"):
+            raise self.error("hydrogen atom with a hydrogen count", start)
+        charge = self._parse_charge(match.group("charge"), start)
+        aromatic = match.group("element") in AROMATIC_LETTERS
+        # Explicit hydrogen counts are accepted but re-derived from valence.
+        self.add_atom(element, charge, match.group("stereo") is not None, aromatic)
+        self.pos = end + 1
+
+    def _parse_charge(self, token: str | None, offset: int) -> int:
+        if token is None:
+            return 0
+        sign = 1 if token[0] == "+" else -1
+        digits = token.lstrip("+-")
+        if digits:
+            if len(set(token[:len(token) - len(digits)])) != 1:
+                raise self.error(f"bad charge {token!r}", offset)
+            magnitude = int(digits)
+        else:
+            if len(set(token)) != 1:
+                raise self.error(f"bad charge {token!r}", offset)
+            magnitude = len(token)
+        charge = sign * magnitude
+        if not -2 <= charge <= 6:
+            raise self.error(f"charge {charge:+d} outside the supported range", offset)
+        return charge
+
+    def run(self) -> MolGraph:
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch == "[":
+                self.parse_bracket()
+            elif text.startswith(("Cl", "Br"), self.pos):
+                self.add_atom(text[self.pos:self.pos + 2], 0, False, False)
+                self.pos += 2
+            elif ch in "BCNOSPFI":
+                self.add_atom(ch, 0, False, False)
+                self.pos += 1
+            elif ch in AROMATIC_LETTERS:
+                self.add_atom(AROMATIC_LETTERS[ch], 0, False, True)
+                self.pos += 1
+            elif ch == "*":
+                self.add_atom("*", 0, False, False)
+                self.pos += 1
+            elif ch in _BOND_SYMBOLS:
+                if self.pending_order is not None:
+                    raise self.error("two bond symbols in a row")
+                if self.anchor is None:
+                    raise self.error("bond symbol without a preceding atom")
+                self.pending_order = _BOND_SYMBOLS[ch]
+                self.pending_order_pos = self.pos
+                if ch in "/\\":
+                    self.pending_stereo = True
+                self.pos += 1
+            elif ch.isdigit():
+                self.ring_closure(int(ch))
+                self.pos += 1
+            elif ch == "%":
+                digits = text[self.pos + 1:self.pos + 3]
+                if len(digits) != 2 or not digits.isdigit():
+                    raise self.error("'%' needs two digits")
+                self.ring_closure(int(digits))
+                self.pos += 3
+            elif ch == "(":
+                if self.anchor is None:
+                    raise self.error("branch before any atom")
+                if self.pending_order is not None:
+                    raise self.error("bond symbol before a branch open")
+                self.branch_stack.append(self.anchor)
+                self.pos += 1
+            elif ch == ")":
+                if not self.branch_stack:
+                    raise self.error("unbalanced ')'")
+                if self.pending_order is not None:
+                    raise self.error("dangling bond symbol before ')'")
+                self.anchor = self.branch_stack.pop()
+                self.pos += 1
+            elif ch == ".":
+                if self.pending_order is not None:
+                    raise self.error("bond symbol before '.'")
+                if self.anchor is None:
+                    raise self.error("'.' before any atom")
+                self.anchor = None
+                self.pos += 1
+            else:
+                raise self.error(f"unexpected character {ch!r}")
+        if self.branch_stack:
+            raise self.error("unbalanced '('")
+        if self.pending_order is not None:
+            raise self.error("dangling bond symbol", self.pending_order_pos)
+        if self.open_rings:
+            number = min(self.open_rings)
+            raise self.error(f"ring bond {number} never closed")
+        if not self.atoms:
+            raise self.error("empty SMILES", 0)
+        return MolGraph(tuple(self.atoms), tuple(self.bonds.values()))
+
+
+def reading(parser, text: str) -> tuple:
+    """The atoms and bonds, in order, that `parser` reads from `text`, or
+    its error's message and offset."""
+    try:
+        g = parser(text)
+    except SmilesError as exc:
+        return ("error", str(exc), exc.offset)
+    return (g.atoms, tuple((b.u, b.v, b.order) for b in g.bonds))
+
+
+def assert_reads_as_oracle(text: str) -> None:
+    assert reading(parse, text) == reading(lambda t: _Parser(t).run(), text), text
+
+
+def bench_smiles() -> list[str]:
+    return [
+        line.split("\t")[1]
+        for name in ("druglike.tsv", "symmetric_salts.tsv")
+        for line in (BENCH / name).read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+
+
+# the ASCII characters and tokens of SMILES, drawn from to build random
+# strings and mutations
+SMILES_ALPHABET = list("CNOSPFIBrlcnospb*[]()=#:/\\-+.%0123456789@H") + [
+    "Cl", "Br", "[nH]", "[O-]", "%12", "[2H]", "[Se]", "[C@@H]", "[N+]", "X",
+]
 
 
 class TestParseBasics:
@@ -285,6 +517,75 @@ class TestParseErrors:
     def test_dot_then_bond_rejected(self):
         with pytest.raises(SmilesError):
             parse("C.=C")
+
+
+class TestTokenScanOracle:
+    """`parse` reads every string as the replaced `_Parser` did: the same
+    atoms and bonds in the same order, or the same message at the same
+    offset."""
+
+    def test_bench_smiles(self):
+        for text in bench_smiles():
+            assert_reads_as_oracle(text)
+
+    def test_random_strings(self):
+        rng = random.Random(41)
+        for _ in range(20_000):
+            text = "".join(rng.choice(SMILES_ALPHABET) for _ in range(rng.randint(0, 14)))
+            assert_reads_as_oracle(text)
+
+    def test_mutated_smiles(self):
+        rng = random.Random(43)
+        valid = bench_smiles() + [
+            write(random_molecule(random.Random(seed))) for seed in range(200)
+        ]
+        for _ in range(5_000):
+            chars = list(rng.choice(valid))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars) + 1)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    chars.insert(i, rng.choice(SMILES_ALPHABET))
+                elif i < len(chars):
+                    chars[i:i + 1] = [] if kind == 1 else [rng.choice(SMILES_ALPHABET)]
+            text = "".join(chars)
+            assert_reads_as_oracle(text)
+
+    @pytest.mark.parametrize("text, offset, message", [
+        ("", 0, "empty SMILES"),
+        ("C[C", 1, "unterminated bracket atom"),
+        ("[]", 0, "malformed bracket atom []"),
+        ("[13C]", 0, "unsupported isotope [13C]"),
+        ("[Q]", 0, "unknown element 'Q'"),
+        ("[HH]", 0, "hydrogen atom with a hydrogen count"),
+        ("[C+-]", 0, "bad charge '+-'"),
+        ("C[S+7]", 1, "charge +7 outside the supported range"),
+        ("[O-3]", 0, "charge -3 outside the supported range"),
+        ("C==C", 2, "two bond symbols in a row"),
+        ("=C", 0, "bond symbol without a preceding atom"),
+        ("1C", 0, "ring closure before any atom"),
+        ("C=1CCCCC#1", 9, "ring bond 1 declared with two orders"),
+        ("C11", 2, "ring bond closes onto its own atom"),
+        ("C12C12", 4, "duplicate bond between atoms 0 and 1"),
+        ("C%1C", 1, "'%' needs two digits"),
+        ("(C)", 0, "branch before any atom"),
+        ("C=(C)", 2, "bond symbol before a branch open"),
+        ("CC)", 2, "unbalanced ')'"),
+        ("C(C=)", 4, "dangling bond symbol before ')'"),
+        ("C=.C", 2, "bond symbol before '.'"),
+        (".C", 0, "'.' before any atom"),
+        ("CXx", 1, "unexpected character 'X'"),
+        # a digit that is not a decimal digit is no ring number
+        ("C²", 1, "unexpected character '²'"),
+        ("C(C", 3, "unbalanced '('"),
+        ("CC=", 2, "dangling bond symbol"),
+        ("C1CC", 4, "ring bond 1 never closed"),
+    ])
+    def test_error_message_and_offset(self, text, offset, message):
+        with pytest.raises(SmilesError) as err:
+            parse(text)
+        assert str(err.value) == f"offset {offset}: {message}"
+        assert err.value.offset == offset
 
 
 class TestWriter:
@@ -470,3 +771,11 @@ class TestRoundTrip:
             g = random_molecule(rng)
             s = write(g)
             assert write(parse(s)) == s
+
+    @pytest.mark.parametrize("element", ["Se", "Si", "Te", "Ge", "As", "*"])
+    def test_aromatic_ring_with_an_uppercase_atom(self, element):
+        # the element has no aromatic letter, so its aromatic bonds are
+        # written as ':' rather than left to read as single
+        atoms = tuple(Atom(e) for e in ("C", "C", "C", "C", element))
+        g = MolGraph(atoms, tuple(Bond(i, (i + 1) % 5, "aromatic") for i in range(5)))
+        assert isomorphic(parse(write(g)), g), write(g)
