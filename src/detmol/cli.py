@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 when --strict is set and any per-image step failed,
 2 for bad usage or configuration, invalid input data, or a file that cannot
 be read or written.  `main` is the one place where a command's error becomes
-exit 2.  A per-image step catches its own image's errors, an unreadable
-label file or an image id that is not a folder name too, and counts them.
+exit 2.  `_each_image` is the one place where an error fails one image:
+an ImageError, or a ValueError such as an unreadable label file.
 `--config FILE` is an ordinary flag, so argparse accepts its abbreviations;
 its `key value` lines become every subcommand's defaults.
 """
@@ -71,7 +71,8 @@ def main(argv=None) -> int:
         failures = args.handler(args)
     except (FatalCliError, OSError, ValueError) as exc:
         # the package's input errors (SmilesError, LabelFileError, ...) are
-        # ValueErrors; an unreadable or unwritable file is an OSError
+        # ValueErrors; an OSError is a file other than a label file that
+        # cannot be read, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failures:
@@ -208,8 +209,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     return parser, children
 
 
-def _write_rows(out: str, rows: dict[str, str]) -> None:
+def _write_rows(out: str, rows: dict, failed: str = "") -> None:
     from .entities import write_manifest
+    rows = {image_id: failed if value is None else value
+            for image_id, value in rows.items()}
     if out == "-":
         for image_id, value in rows.items():
             sys.stdout.write(f"{image_id}\t{value}\n")
@@ -239,29 +242,52 @@ def _constructor_params(args) -> ConstructorParams:
     )
 
 
-def _cmd_construct(args) -> int:
-    from .constructor import construct
-    from .entities import read_entity_set
-    from .molgraph import RepairError
-    from .smiles import write
-    params = _constructor_params(args)
-    root = Path(args.detections)
-    failures = 0
-    rows = {}
-    for image_id in _detection_ids(args):
-        dropped = []
-        error = None
+def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
+    """Run `step(image_id)` over the images in order; returns each image's
+    value and the number of images that failed.  An ImageError or a
+    ValueError fails its image only: it is logged, counted, and the image's
+    value is None.  Any other error ends the run."""
+    from .entities import ImageError
+
+    def one(image_id: str):
         try:
-            entities = read_entity_set(root, image_id)
-            smiles = write(construct(entities, params, dropped))
-        except (RepairError, OSError, ValueError) as exc:
-            smiles, error = "", exc
-        for warning in dropped:
-            log.warning("%s", warning.format())
+            return step(image_id), None
+        except (ImageError, ValueError) as exc:
+            return None, exc
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(one, image_ids))
+    else:
+        outcomes = map(one, image_ids)
+    values = {}
+    failures = 0
+    for image_id, (value, error) in zip(image_ids, outcomes):
         if error is not None:
             log.error("%s: %s", image_id, error)
             failures += 1
-        rows[image_id] = smiles
+        values[image_id] = value
+    return values, failures
+
+
+def _cmd_construct(args) -> int:
+    from .constructor import construct
+    from .entities import read_entity_set
+    from .smiles import write
+    params = _constructor_params(args)
+    root = Path(args.detections)
+
+    def step(image_id: str) -> str:
+        dropped = []
+        try:
+            entities = read_entity_set(root, image_id)
+            return write(construct(entities, params, dropped))
+        finally:
+            for warning in dropped:
+                log.warning("%s", warning.format())
+
+    rows, failures = _each_image(_detection_ids(args), step)
     _write_rows(args.out, rows)
     return failures
 
@@ -302,9 +328,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_edit_correct(args) -> int:
     from .constructor import construct
-    from .editcorrect import ProjectionError, edit_correct, project_pseudo_labels
+    from .editcorrect import edit_correct, project_pseudo_labels
     from .entities import read_entity_set, read_manifest, write_entity_set
-    from .molgraph import RepairError
     from .smiles import SmilesError, parse
     params = _constructor_params(args)
     references = read_manifest(args.references)
@@ -313,45 +338,36 @@ def _cmd_edit_correct(args) -> int:
         raise FatalCliError(f"not a directory: {root}")
     if args.k_max < 0:
         raise FatalCliError("--k-max must be >= 0")
+    # a bad reference ends the run before any pseudo-label is written
+    ref_graphs = {}
+    for image_id in sorted(references):
+        try:
+            ref_graphs[image_id] = parse(references[image_id])
+        except SmilesError as exc:
+            raise FatalCliError(f"{image_id}: bad reference: {exc}") from exc
     out_root = Path(args.out_labels) if args.out_labels else None
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
-    rows = {}
-    for image_id in sorted(references):
-        try:
-            ref_graph = parse(references[image_id])
-        except SmilesError as exc:
-            raise FatalCliError(f"{image_id}: bad reference: {exc}") from exc
-        # an unreadable or malformed label file (LabelFileError is a
-        # ValueError) fails this image; an unwritable output fails the run
-        try:
-            entities = read_entity_set(root, image_id)
-            graph = construct(entities, params)
-            correction = edit_correct(graph, ref_graph, args.k_max)
-            if correction is not None and out_root is not None:
-                projected = project_pseudo_labels(
-                    entities, correction.script, correction.graph, params
-                )
-        except (RepairError, ProjectionError, OSError, ValueError) as exc:
-            log.error("%s: %s", image_id, exc)
-            failures += 1
-            rows[image_id] = "\tno"
-            continue
+    def step(image_id: str) -> str:
+        entities = read_entity_set(root, image_id)
+        correction = edit_correct(
+            construct(entities, params), ref_graphs[image_id], args.k_max)
         if correction is None:
-            rows[image_id] = "\tno"
-        else:
-            if out_root is not None:
-                write_entity_set(out_root, projected)
-            rows[image_id] = f"{correction.script.cost}\tyes"
-    _write_rows(args.summary, rows)
+            return "\tno"
+        if out_root is not None:
+            write_entity_set(out_root, project_pseudo_labels(
+                entities, correction.script, correction.graph, params))
+        return f"{correction.script.cost}\tyes"
+
+    rows, failures = _each_image(list(ref_graphs), step)
+    _write_rows(args.summary, rows, failed="\tno")
     return failures
 
 
 def _cmd_cascade(args) -> int:
     from .entities import read_manifest
-    from .experts import NoPredictionError, cascade, load_cascade_config
+    from .experts import cascade, load_cascade_config
     experts = load_cascade_config(args.experts)
     if args.references:
         image_ids = sorted(read_manifest(args.references))
@@ -360,31 +376,13 @@ def _cmd_cascade(args) -> int:
     else:
         raise FatalCliError("one of --references or --images is required")
 
-    def one(image_id: str):
-        try:
-            return cascade(experts, image_id), None
-        except NoPredictionError as exc:
-            return None, exc
+    def step(image_id: str) -> str:
+        result = cascade(experts, image_id)
+        log.info("%s: %s via %s (valid=%s)",
+                 image_id, result.smiles, result.expert, result.valid)
+        return result.smiles
 
-    if args.jobs > 1:
-        # threads pay off here only because `command` experts wait on child
-        # processes
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(one, image_ids))
-    else:
-        outcomes = map(one, image_ids)
-    failures = 0
-    rows = {}
-    for image_id, (result, error) in zip(image_ids, outcomes):
-        if error is not None:
-            log.error("%s", error)
-            failures += 1
-            rows[image_id] = ""
-        else:
-            log.info("%s: %s via %s (valid=%s)",
-                     image_id, result.smiles, result.expert, result.valid)
-            rows[image_id] = result.smiles
+    rows, failures = _each_image(image_ids, step, args.jobs)
     _write_rows(args.out, rows)
     return failures
 
@@ -392,21 +390,16 @@ def _cmd_cascade(args) -> int:
 def _cmd_fingerprint(args) -> int:
     from .entities import read_manifest
     from .fingerprint import FpParams, ecfp, tanimoto
-    from .smiles import SmilesError, parse
+    from .smiles import parse
     fp_params = FpParams(args.radius, args.nbits)
     if args.manifest:
         if args.smiles or args.pair:
             raise FatalCliError("--manifest excludes positional SMILES and --pair")
-        rows = read_manifest(args.manifest)
-        failures = 0
-        for image_id, smiles in rows.items():
-            try:
-                digest = ecfp(parse(smiles), fp_params).to_hex()
-            except SmilesError as exc:
-                log.error("%s: %s", image_id, exc)
-                failures += 1
-                digest = ""
-            sys.stdout.write(f"{image_id}\t{digest}\n")
+        smiles_of = read_manifest(args.manifest)
+        rows, failures = _each_image(
+            list(smiles_of),
+            lambda image_id: ecfp(parse(smiles_of[image_id]), fp_params).to_hex())
+        _write_rows("-", rows)
         return failures
     if not args.smiles:
         raise FatalCliError("give SMILES arguments or --manifest")
@@ -422,33 +415,30 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .editcorrect import LayoutError, plant_errors
+    from .editcorrect import plant_errors
     from .entities import read_manifest, write_entity_set, write_manifest
-    from .smiles import SmilesError, parse
+    from .smiles import parse
     if bool(args.smiles) == bool(args.manifest):
         raise FatalCliError("give exactly one of --smiles or --manifest")
     if args.edits < 0:
         raise FatalCliError("--edits must be >= 0")
-    entries = (
-        list(read_manifest(args.manifest).items())
-        if args.manifest else [(args.image_id, args.smiles)]
-    )
+    smiles_of = (read_manifest(args.manifest) if args.manifest
+                 else {args.image_id: args.smiles})
+    seed_of = {image_id: args.seed + offset
+               for offset, image_id in enumerate(smiles_of)}
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
-    truth_rows = {}
-    for offset, (image_id, smiles) in enumerate(entries):
-        try:
-            graph = parse(smiles)
-            entities = plant_errors(graph, args.edits, args.seed + offset, image_id)
-            write_entity_set(out_root, entities)
-            truth_rows[image_id] = smiles
-        except (SmilesError, LayoutError, ValueError) as exc:
-            log.error("%s: %s", image_id, exc)
-            failures += 1
+    def step(image_id: str) -> str:
+        graph = parse(smiles_of[image_id])
+        entities = plant_errors(graph, args.edits, seed_of[image_id], image_id)
+        write_entity_set(out_root, entities)
+        return smiles_of[image_id]
+
+    rendered, failures = _each_image(list(smiles_of), step)
     if args.truth_out:
-        write_manifest(args.truth_out, truth_rows)
+        write_manifest(args.truth_out, {image_id: smiles for image_id, smiles
+                                        in rendered.items() if smiles is not None})
     return failures
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from .constructor import ConstructorParams, construct, resolve_endpoints
 from .entities import (
     ATOM_CLASSES, BOND_CLASSES, CHARGE_CLASSES, BBox, DetBox, EntityChannel,
-    EntitySet, intersects,
+    EntitySet, ImageError, intersects,
 )
 from .molgraph import (
     ORDER_VALUE, Atom, Bond, MolGraph, _labels, _search_mapping,
@@ -23,11 +23,11 @@ EDIT_KINDS = (
 )
 
 
-class LayoutError(RuntimeError):
+class LayoutError(ImageError):
     """The planar lattice embedding could not be completed."""
 
 
-class ProjectionError(RuntimeError):
+class ProjectionError(ImageError):
     """Projected pseudo-labels failed to re-construct the corrected graph."""
 
 

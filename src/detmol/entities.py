@@ -29,8 +29,13 @@ _HEADER = "label,xmin,ymin,xmax,ymax"
 _HEADER_SCORED = _HEADER + ",score"
 
 
+class ImageError(RuntimeError):
+    """One image's data cannot be processed: the command fails that image."""
+
+
 class LabelFileError(ValueError):
-    """Raised for malformed label CSV content; messages name the line."""
+    """Raised for a malformed or unreadable label file; messages name the
+    line or the file."""
 
 
 #: Each channel's class ids and their meaning.
@@ -240,7 +245,8 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
     A missing channel file is an empty channel; the detector may simply
     have found nothing of that kind.  So is every channel of an image whose
     folder is missing or is not a directory.  An id that is not a single
-    folder name raises LabelFileError.
+    folder name, or a channel file that cannot be read, raises
+    LabelFileError.
     """
     base = _image_dir(root, image_id)
     channels = {}
@@ -250,6 +256,8 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
                 text = handle.read()
         except (FileNotFoundError, NotADirectoryError):
             channels[kind] = empty_channel(kind)
+        except OSError as exc:  # its message names the file
+            raise LabelFileError(str(exc)) from exc
         else:
             channels[kind] = parse_label_file(text, kind)
     return EntitySet(image_id, channels["atom"], channels["bond"],

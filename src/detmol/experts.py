@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructor import ConstructorParams, construct
-from .entities import read_entity_set, read_manifest
+from .entities import ImageError, read_entity_set, read_manifest
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
 
@@ -21,7 +21,7 @@ class ExpertFailure(RuntimeError):
     """One recognizer produced no usable output for an image."""
 
 
-class NoPredictionError(RuntimeError):
+class NoPredictionError(ImageError):
     """Every recognizer in the cascade failed outright."""
 
 
@@ -81,7 +81,7 @@ class ExpertAdapter:
         try:
             entities = read_entity_set(self.source, image_id)
             graph = construct(entities, ConstructorParams())
-        except (OSError, RepairError, ValueError) as exc:
+        except (RepairError, ValueError) as exc:
             raise ExpertFailure(f"{self.name}: {exc}") from exc
         return write(graph)
 

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .entities import BBox
+from .entities import BBox, ImageError
 
 WILDCARD = "*"
 
@@ -46,7 +46,7 @@ class ValenceConfigError(ValueError):
     """An element has no valence entry and is not the wildcard."""
 
 
-class RepairError(RuntimeError):
+class RepairError(ImageError):
     """Repair did not converge; `.graph` holds the partial result."""
 
     def __init__(self, message: str, graph: "MolGraph"):

@@ -22,7 +22,8 @@ _BRACKET = re.compile(
     r"(?P<element>\*|[A-Za-z][a-z]?)"
     r"(?P<stereo>@@|@)?"
     r"(?P<hcount>H\d*)?"
-    r"(?P<charge>[+-]\d+|[+-]+)?"
+    r"(?P<charge>[+-]\d+|[+-]+)?",
+    re.ASCII,
 )
 
 
@@ -56,7 +57,7 @@ _TOKEN = re.compile(
     r"|(?P<ring>\d|%\d\d)"
     r"|(?P<open>\()|(?P<close>\))|(?P<dot>\.)"
     r"|(?P<other>.)",
-    re.DOTALL,
+    re.DOTALL | re.ASCII,
 )
 
 

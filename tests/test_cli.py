@@ -329,6 +329,31 @@ class TestCascadeCommand:
                    "--images", str(ids), "--out", str(out)) == 1
         assert read_manifest(out) == {"img1": ""}
 
+    def test_all_experts_fail_on_threads(self, tmp_path, caplog):
+        # the thread pool fails an image as one thread does: an empty row
+        # and one ERROR line naming the image
+        table = tmp_path / "table.tsv"
+        table.write_text("img1\tCCO\n")
+        cfg = tmp_path / "experts.conf"
+        cfg.write_text(f"only table {table}\n")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("img1\nimg2\nimg3\n")
+        errors = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}.tsv"
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+                assert run("cascade", "--strict", "--jobs", jobs,
+                           "--experts", str(cfg), "--images", str(ids),
+                           "--out", str(out)) == 1
+            assert out.read_text() == "img1\tCCO\nimg2\t\nimg3\t\n"
+            errors[jobs] = [rec.getMessage() for rec in caplog.records
+                            if rec.levelno == logging.ERROR
+                            and rec.name == "detmol.cli"]
+        assert errors["2"] == errors["1"] == [
+            "img2: every expert failed for img2",
+            "img3: every expert failed for img3"]
+
     def test_needs_reference_or_images(self, tmp_path):
         cfg = tmp_path / "experts.conf"
         cfg.write_text("only command /bin/echo\n")
@@ -421,6 +446,18 @@ class TestErrorBoundary:
         assert err.splitlines()[-1] == (
             "error: img1: bad reference: offset 4: ring bond 1 never closed")
 
+    def test_bad_reference_ends_the_run_before_any_write(self, rendered, capsys):
+        # references are parsed before the first image, so imgA, whose
+        # reference is good, gets no pseudo-labels either
+        (rendered / "refs.tsv").write_text("imgA\tCCO\nimgZ\tC1CC\n")
+        capsys.readouterr()
+        assert run("edit-correct", "--detections", str(rendered / "labels"),
+                   "--references", str(rendered / "refs.tsv"),
+                   "--out-labels", str(rendered / "fixed")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: imgZ: bad reference: offset 4: ring bond 1 never closed")
+        assert not (rendered / "fixed" / "imgA").exists()
+
     def test_edit_correct_detections_file(self, rendered, capsys):
         capsys.readouterr()
         assert run("edit-correct", "--detections", str(rendered / "truth.tsv"),
@@ -441,6 +478,15 @@ class TestPerImageFailure:
     """An image whose id or label files cannot be used is logged and counted;
     the other images are still written and the run exits 0 (1 under
     --strict)."""
+
+    @pytest.mark.parametrize("error", [
+        detmol.LayoutError, detmol.NoPredictionError, detmol.ProjectionError,
+        detmol.RepairError,
+    ])
+    def test_per_image_errors_are_image_errors(self, error):
+        from detmol.entities import ImageError
+        assert issubclass(error, ImageError)
+        assert issubclass(error, RuntimeError)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_id_cannot_leave_the_output_root(self, tmp_path, caplog, strict):

@@ -148,6 +148,14 @@ class TestEntitySetIO:
             for channel in (es.atoms, es.bonds, es.charges, es.stereos):
                 assert len(channel) == 0
 
+    def test_unreadable_file_is_a_label_file_error(self, tmp_path):
+        # a file that exists but cannot be read is bad data for its image,
+        # not a missing channel
+        (tmp_path / "m5" / "atoms.csv").mkdir(parents=True)
+        with pytest.raises(LabelFileError) as err:
+            read_entity_set(tmp_path, "m5")
+        assert str(tmp_path / "m5" / "atoms.csv") in str(err.value)
+
     def test_channel_kind_slots_enforced(self):
         with pytest.raises(ValueError):
             EntitySet("x", empty_channel("bond"), empty_channel("bond"),

@@ -577,6 +577,10 @@ class TestTokenScanOracle:
         ("CXx", 1, "unexpected character 'X'"),
         # a digit that is not a decimal digit is no ring number
         ("C²", 1, "unexpected character '²'"),
+        # ring numbers, charges and '%' numbers are ASCII digits only
+        ("C٣CC٣", 1, "unexpected character '٣'"),
+        ("[C+٣]", 0, "malformed bracket atom [C+٣]"),
+        ("C%1٣C", 1, "'%' needs two digits"),
         ("C(C", 3, "unbalanced '('"),
         ("CC=", 2, "dangling bond symbol"),
         ("C1CC", 4, "ring bond 1 never closed"),
