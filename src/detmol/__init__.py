@@ -16,8 +16,8 @@ import types
 
 _EXPORTS = {
     "constructor": (
-        "ConstructorParams", "DroppedBond", "assign_charges", "assign_stereo",
-        "bond_endpoints", "construct", "filter_atoms", "filter_cands",
+        "DroppedBond", "assign_charges", "assign_stereo", "bond_endpoints",
+        "construct", "filter_atoms", "filter_cands",
     ),
     "editcorrect": (
         "Correction", "EditOp", "EditScript", "LayoutError", "ProjectionError",

@@ -44,10 +44,6 @@ _CONFIG_TYPES = {
     "nbits": int,
     "edits": int,
     "seed": int,
-    "atom_merge_iou": float,
-    "edge_expand_step": float,
-    "edge_expand_limit": float,
-    "max_repair_iterations": int,
 }
 
 
@@ -128,11 +124,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
                              "a time: their work is pure Python, which "
                              "threads only slow down by contending for the "
                              "interpreter lock")
-    constructor = argparse.ArgumentParser(add_help=False)
-    constructor.add_argument("--atom-merge-iou", type=float, default=0.5)
-    constructor.add_argument("--edge-expand-step", type=float, default=5.0)
-    constructor.add_argument("--edge-expand-limit", type=float, default=80.0)
-    constructor.add_argument("--max-repair-iterations", type=int, default=10)
 
     parser = argparse.ArgumentParser(
         prog="detmol",
@@ -141,7 +132,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True)
     children: list[argparse.ArgumentParser] = []
 
-    p = sub.add_parser("construct", parents=[common, constructor],
+    p = sub.add_parser("construct", parents=[common],
                        help="detections -> SMILES manifest")
     p.add_argument("--detections", required=True,
                    help="root directory of per-image label folders")
@@ -163,7 +154,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     children.append(p)
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("edit-correct", parents=[common, constructor],
+    p = sub.add_parser("edit-correct", parents=[common],
                        help="repair constructions against reference SMILES")
     p.add_argument("--detections", required=True)
     p.add_argument("--references", required=True)
@@ -220,26 +211,14 @@ def _write_rows(out: str, rows: dict, failed: str = "") -> None:
         write_manifest(out, rows)
 
 
-def _read_id_list(path: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip()]
-
-
 def _detection_ids(args) -> list[str]:
+    from .entities import read_manifest
     root = Path(args.detections)
     if not root.is_dir():
         raise FatalCliError(f"not a directory: {root}")
     if args.images:
-        return _read_id_list(args.images)
+        return list(read_manifest(args.images))
     return sorted(p.name for p in root.iterdir() if p.is_dir())
-
-
-def _constructor_params(args) -> ConstructorParams:
-    from .constructor import ConstructorParams
-    return ConstructorParams(
-        args.atom_merge_iou, args.edge_expand_step,
-        args.edge_expand_limit, args.max_repair_iterations,
-    )
 
 
 def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
@@ -275,14 +254,13 @@ def _cmd_construct(args) -> int:
     from .constructor import construct
     from .entities import read_entity_set
     from .smiles import write
-    params = _constructor_params(args)
     root = Path(args.detections)
 
     def step(image_id: str) -> str:
         dropped = []
         try:
             entities = read_entity_set(root, image_id)
-            return write(construct(entities, params, dropped))
+            return write(construct(entities, dropped))
         finally:
             for warning in dropped:
                 log.warning("%s", warning.format())
@@ -331,7 +309,6 @@ def _cmd_edit_correct(args) -> int:
     from .editcorrect import edit_correct, project_pseudo_labels
     from .entities import read_entity_set, read_manifest, write_entity_set
     from .smiles import SmilesError, parse
-    params = _constructor_params(args)
     references = read_manifest(args.references)
     root = Path(args.detections)
     if not root.is_dir():
@@ -352,12 +329,12 @@ def _cmd_edit_correct(args) -> int:
     def step(image_id: str) -> str:
         entities = read_entity_set(root, image_id)
         correction = edit_correct(
-            construct(entities, params), ref_graphs[image_id], args.k_max)
+            construct(entities), ref_graphs[image_id], args.k_max)
         if correction is None:
             return "\tno"
         if out_root is not None:
             write_entity_set(out_root, project_pseudo_labels(
-                entities, correction.script, correction.graph, params))
+                entities, correction.script, correction.graph))
         return f"{correction.script.cost}\tyes"
 
     rows, failures = _each_image(list(ref_graphs), step)
@@ -372,7 +349,7 @@ def _cmd_cascade(args) -> int:
     if args.references:
         image_ids = sorted(read_manifest(args.references))
     elif args.images:
-        image_ids = _read_id_list(args.images)
+        image_ids = list(read_manifest(args.images))
     else:
         raise FatalCliError("one of --references or --images is required")
 

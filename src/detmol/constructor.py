@@ -11,22 +11,12 @@ from .entities import (
 from .molgraph import ORDER_VALUE, Atom, Bond, MolGraph, repair
 
 
-@dataclass(frozen=True)
-class ConstructorParams:
-    """Geometry knobs for node merging and edge endpoint search."""
-
-    atom_merge_iou: float = 0.5
-    edge_expand_step: float = 5.0
-    edge_expand_limit: float = 80.0
-    max_repair_iterations: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.atom_merge_iou <= 1.0:
-            raise ValueError("atom_merge_iou must lie in [0, 1]")
-        if self.edge_expand_step <= 0:
-            raise ValueError("edge_expand_step must be positive")
-        if self.edge_expand_limit < 0:
-            raise ValueError("edge_expand_limit must be >= 0")
+# The constructor's one geometry: atom boxes overlapping above this IoU
+# merge, and a bond box grows by the step until two atoms meet it or the
+# growth reaches the limit (pixels).
+ATOM_MERGE_IOU = 0.5
+EDGE_EXPAND_STEP = 5.0
+EDGE_EXPAND_LIMIT = 80.0
 
 
 @dataclass(frozen=True)
@@ -41,9 +31,7 @@ class DroppedBond:
         return f"WARN {self.image_id} dropped_bond {self.bond_index} reason={self.reason}"
 
 
-def filter_atoms(
-    atoms: EntityChannel, params: ConstructorParams = ConstructorParams()
-) -> EntityChannel:
+def filter_atoms(atoms: EntityChannel) -> EntityChannel:
     """Deduplicate overlapping atom boxes.
 
     Boxes whose pairwise IoU exceeds the merge threshold form groups (by
@@ -61,7 +49,7 @@ def filter_atoms(
 
     for i in range(n):
         for j in range(i + 1, n):
-            if iou(atoms.boxes[i].box, atoms.boxes[j].box) > params.atom_merge_iou:
+            if iou(atoms.boxes[i].box, atoms.boxes[j].box) > ATOM_MERGE_IOU:
                 parent[find(i)] = find(j)
     best: dict[int, int] = {}
     for i, det in enumerate(atoms.boxes):
@@ -103,10 +91,7 @@ def assign_stereo(
     return flagged
 
 
-def bond_endpoints(
-    atoms: EntityChannel, bond: DetBox,
-    params: ConstructorParams = ConstructorParams(),
-) -> list[int]:
+def bond_endpoints(atoms: EntityChannel, bond: DetBox) -> list[int]:
     """Atom indices intersecting the bond box, grown until two are found.
 
     The box is expanded in steps, starting from no growth, while fewer than
@@ -117,8 +102,8 @@ def bond_endpoints(
     while True:
         grown = expand(bond.box, growth) if growth else bond.box
         hits = [i for i, det in enumerate(atoms) if intersects(det.box, grown)]
-        growth += params.edge_expand_step
-        if len(hits) >= 2 or growth >= params.edge_expand_limit:
+        growth += EDGE_EXPAND_STEP
+        if len(hits) >= 2 or growth >= EDGE_EXPAND_LIMIT:
             return hits
 
 
@@ -173,15 +158,14 @@ def filter_cands(
 
 
 def resolve_endpoints(
-    atoms: EntityChannel, bond: DetBox,
-    params: ConstructorParams = ConstructorParams(),
+    atoms: EntityChannel, bond: DetBox
 ) -> tuple[list[int], tuple[int, int] | None]:
     """The bond_endpoints candidates and the atom pair the bond joins.
 
     Two candidates are the pair; more go through filter_cands; fewer join
     no pair (None).
     """
-    hits = bond_endpoints(atoms, bond, params)
+    hits = bond_endpoints(atoms, bond)
     if len(hits) == 2:
         return hits, (hits[0], hits[1])
     if len(hits) > 2:
@@ -190,9 +174,7 @@ def resolve_endpoints(
 
 
 def construct(
-    entities: EntitySet,
-    params: ConstructorParams = ConstructorParams(),
-    warnings: list[DroppedBond] | None = None,
+    entities: EntitySet, warnings: list[DroppedBond] | None = None
 ) -> MolGraph:
     """Assemble and validate a molecular graph from one image's detections.
 
@@ -201,9 +183,10 @@ def construct(
     needed, trimming surplus candidates geometrically).  Unresolvable bonds
     are dropped with a warning record; duplicate bonds between one atom pair
     keep the higher score, then the higher order.  The result is run through
-    valence repair before being returned.
+    valence repair, at its default of at most 10 bond deletions, before
+    being returned.
     """
-    atoms = filter_atoms(entities.atoms, params)
+    atoms = filter_atoms(entities.atoms)
     charges = assign_charges(atoms, entities.charges)
     flagged = assign_stereo(atoms, entities.stereos, entities.bonds)
     graph_atoms = tuple(
@@ -213,7 +196,7 @@ def construct(
 
     chosen: dict[tuple[int, int], Bond] = {}
     for index, det in enumerate(entities.bonds):
-        hits, pair = resolve_endpoints(atoms, det, params)
+        hits, pair = resolve_endpoints(atoms, det)
         if pair is None:
             if warnings is not None:
                 reason = "no_endpoints" if not hits else "single_endpoint"
@@ -226,4 +209,4 @@ def construct(
             chosen[bond.pair] = bond
 
     graph = MolGraph(graph_atoms, tuple(chosen.values()))
-    return repair(graph, max_iterations=params.max_repair_iterations)
+    return repair(graph)

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .constructor import ConstructorParams, construct, resolve_endpoints
+from .constructor import construct, resolve_endpoints
 from .entities import (
     ATOM_CLASSES, BOND_CLASSES, CHARGE_CLASSES, BBox, DetBox, EntityChannel,
     EntitySet, ImageError, intersects,
@@ -517,13 +517,12 @@ def plant_errors(
     relabels stay valence-safe, inserted bonds are single, non-parallel, and
     must resolve back to their own endpoints, and aromatic bonds are left
     alone (touching one would cascade through repair).  Deterministic for a
-    given seed.  Geometry is sized for default ConstructorParams.  The one
+    given seed.  Box sizes suit the constructor's fixed geometry.  The one
     check is on the render: it must re-construct to the truth, otherwise
     LayoutError is raised.
     """
     if detect_problems(truth):
         raise ValueError("truth graph must be chemically valid")
-    params = ConstructorParams()
     positions = _layout(truth)
     graph = MolGraph(
         tuple(replace(a, source_box=_small_box(positions[i], ATOM_BOX_HALF))
@@ -532,7 +531,7 @@ def plant_errors(
               for b in truth.bonds),
     )
     rendered = _entity_set(graph, image_id)
-    if not isomorphic(construct(rendered, params), truth):
+    if not isomorphic(construct(rendered), truth):
         raise LayoutError("rendered boxes do not re-construct the input graph")
     # no corruption inserts or deletes an atom, so the atom boxes stay put
     det_atoms = rendered.atoms
@@ -540,7 +539,7 @@ def plant_errors(
     def resolves_to(u: int, v: int) -> bool:
         """Whether a bond box drawn from u to v re-constructs onto u and v."""
         box = _bond_box(positions[u], positions[v])
-        _, pair = resolve_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]), params)
+        _, pair = resolve_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]))
         return pair is not None and (min(pair), max(pair)) == (u, v)
 
     touched_atoms: set[int] = set()
@@ -614,12 +613,11 @@ def project_pseudo_labels(
     pred_entities: EntitySet,
     script: EditScript,
     corrected: MolGraph,
-    params: ConstructorParams = ConstructorParams(),
 ) -> EntitySet:
     """Push an edit script back onto the entity boxes.
 
-    `corrected` must be the `Correction.graph` of construct(pred_entities,
-    params), which keeps the construction's boxes on what the script kept;
+    `corrected` must be the `Correction.graph` of construct(pred_entities),
+    which keeps the construction's boxes on what the script kept;
     the labels are written from it.  Relabels keep the original box with a
     new class; deletions drop boxes; an inserted bond spans its endpoint
     boxes and an inserted atom gets a median-size box placed outward from
@@ -631,7 +629,7 @@ def project_pseudo_labels(
     if script.ops:
         boxed = _box_insertions(corrected, script.ops, _union_box)
         labels = _entity_set(boxed, pred_entities.image_id)
-    if not isomorphic(construct(labels, params), corrected):
+    if not isomorphic(construct(labels), corrected):
         raise ProjectionError("pseudo-labels do not re-construct the corrected graph")
     return labels
 

@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constructor import ConstructorParams, construct
+from .constructor import construct
 from .entities import ImageError, read_entity_set, read_manifest
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
@@ -80,7 +80,7 @@ class ExpertAdapter:
             raise ExpertFailure(f"{self.name}: no detections at {folder}")
         try:
             entities = read_entity_set(self.source, image_id)
-            graph = construct(entities, ConstructorParams())
+            graph = construct(entities)
         except (RepairError, ValueError) as exc:
             raise ExpertFailure(f"{self.name}: {exc}") from exc
         return write(graph)
@@ -163,4 +163,4 @@ def cascade(experts, image_id: str, trace: list | None = None) -> CascadePredict
             fallback = CascadePrediction(image_id, smiles, expert.name, False)
     if fallback is not None:
         return fallback
-    raise NoPredictionError(f"every expert failed for {image_id}")
+    raise NoPredictionError("every expert failed")

@@ -105,8 +105,8 @@ def parse(text: str) -> MolGraph:
     supported.  A bond with no symbol, in a chain or at a ring closure, is
     aromatic between two aromatic letters and single otherwise.  Stereo
     markers are accepted and reduced to per-atom stereocenter flags; a '/'
-    or '\\' bond flags the next atom.  Hydrogen counts are re-derived from
-    valence rather than stored.
+    or '\\' bond is single and flags no atom.  Hydrogen counts are
+    re-derived from valence rather than stored.
     """
     atoms: list[Atom] = []
     aromatic: list[bool] = []
@@ -115,7 +115,6 @@ def parse(text: str) -> MolGraph:
     branches: list[int] = []  # the anchors to return to at each ')'
     order: str | None = None  # the order of a bond symbol not yet used
     order_at = 0
-    stereo_bond = False  # a '/' or '\' bond since the last atom
     rings: dict[int, tuple[int, str | None]] = {}  # open number: (atom, order)
 
     def add_bond(u: int, v: int, order: str | None, offset: int) -> None:
@@ -135,20 +134,17 @@ def parse(text: str) -> MolGraph:
                 atom, lower = _BARE_ATOMS[token]
             else:
                 atom, lower = _bracket_atom(token[1:-1], at)
-            if stereo_bond:
-                atom = Atom(atom.element, atom.formal_charge, True)
             atoms.append(atom)
             aromatic.append(lower)
             if anchor is not None:
                 add_bond(anchor, len(atoms) - 1, order, at)
-            anchor, order, stereo_bond = len(atoms) - 1, None, False
+            anchor, order = len(atoms) - 1, None
         elif kind == "bond":
             if order is not None:
                 raise SmilesError("two bond symbols in a row", at)
             if anchor is None:
                 raise SmilesError("bond symbol without a preceding atom", at)
             order, order_at = _BOND_SYMBOLS[token], at
-            stereo_bond = stereo_bond or token in "/\\"
         elif kind == "ring":
             if anchor is None:
                 raise SmilesError("ring closure before any atom", at)

@@ -351,8 +351,8 @@ class TestCascadeCommand:
                             if rec.levelno == logging.ERROR
                             and rec.name == "detmol.cli"]
         assert errors["2"] == errors["1"] == [
-            "img2: every expert failed for img2",
-            "img3: every expert failed for img3"]
+            "img2: every expert failed",
+            "img3: every expert failed"]
 
     def test_needs_reference_or_images(self, tmp_path):
         cfg = tmp_path / "experts.conf"
@@ -407,7 +407,6 @@ class TestErrorBoundary:
         self.check(rendered, argv, capsys)
 
     @pytest.mark.parametrize("argv", [
-        ["construct", "--detections", "{d}/labels", "--atom-merge-iou", "2"],
         ["fingerprint", "--nbits", "3", "CCO"],
         ["construct", "--detections", "{d}/labels",
          "--images", "{d}/missing.txt"],
@@ -417,7 +416,7 @@ class TestErrorBoundary:
          "--references", "{d}/truth.tsv", "--pred-detections", "{d}/bad",
          "--ref-detections", "{d}/labels"],
         ["cascade", "--experts", "{d}/experts.conf", "--images", "{d}/ids.txt"],
-    ], ids=["atom-merge-iou", "nbits", "images-list", "predictions-manifest",
+    ], ids=["nbits", "images-list", "predictions-manifest",
             "pred-detections", "expert-kind"])
     def test_bad_input(self, rendered, capsys, argv):
         self.check(rendered, argv, capsys)
@@ -436,6 +435,25 @@ class TestErrorBoundary:
         assert err.splitlines()[-1].startswith(f"error: {message}")
         assert "Traceback" not in err
         assert not (rendered / "more").exists()
+
+    @pytest.mark.parametrize("ids, message", [
+        ("imgA\nimgB\nimgB\n", "line 3: duplicate image id 'imgB'"),
+        ("imgA\n\tx\n", "line 2: empty image id"),
+    ], ids=["duplicate", "empty"])
+    @pytest.mark.parametrize("command", [
+        ["construct", "--detections", "{d}/labels"],
+        ["cascade", "--experts", "{d}/experts.conf"],
+    ], ids=["construct", "cascade"])
+    def test_images_list_is_a_manifest(self, rendered, capsys, command, ids, message):
+        # an id listed twice would run its image twice and count it twice
+        (rendered / "experts.conf").write_text(
+            f"boxes detections {rendered / 'labels'}\n")
+        (rendered / "ids.txt").write_text(ids)
+        capsys.readouterr()
+        assert run(*(arg.format(d=rendered) for arg in command),
+                   "--images", str(rendered / "ids.txt")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {rendered / 'ids.txt'}: {message}")
 
     def test_bad_reference_names_its_image(self, rendered, capsys):
         (rendered / "ring.tsv").write_text("img1\tC1CC\n")
@@ -550,7 +568,7 @@ class TestPerImageFailure:
         assert read_manifest(rendered / "out.tsv") == {"imgA": "C1CO1", "imgB": ""}
         [message] = [rec.getMessage() for rec in caplog.records
                      if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
-        assert message.endswith(" imgB")
+        assert message == "imgB: every expert failed"
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -668,7 +686,7 @@ class TestPublicApi:
     NAMES = [
         "ATOM_CLASSES", "Atom", "BBox", "BOND_CLASSES", "Bond",
         "CHARGE_CLASSES", "CascadeConfigError", "CascadePrediction",
-        "ChemProblem", "ConstructorParams", "Correction",
+        "ChemProblem", "Correction",
         "DEFAULT_IOU_THRESHOLDS", "DEFAULT_VALENCES", "DetBox", "DroppedBond",
         "EditOp", "EditScript", "EntityChannel", "EntitySet", "ExpertAdapter",
         "ExpertFailure", "Fingerprint", "FpParams", "LabelFileError",
@@ -688,7 +706,7 @@ class TestPublicApi:
     ]
 
     def test_all_is_unchanged(self):
-        assert len(self.NAMES) == 70
+        assert len(self.NAMES) == 69
         assert sorted(detmol.__all__) == self.NAMES
 
     def test_every_name_resolves_and_is_listed(self):

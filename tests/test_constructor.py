@@ -1,7 +1,7 @@
 import pytest
 
 from detmol import (
-    BBox, ConstructorParams, DetBox, DroppedBond, EntityChannel, EntitySet,
+    BBox, DetBox, DroppedBond, EntityChannel, EntitySet,
     assign_charges, assign_stereo, bond_endpoints, construct, empty_channel,
     filter_atoms, filter_cands,
 )
@@ -23,23 +23,6 @@ def entity_set(image_id="img", atoms=(), bonds=(), charges=(), stereos=()):
         EntityChannel("charge", charges),
         EntityChannel("stereo", stereos),
     )
-
-
-class TestParams:
-    def test_defaults(self):
-        p = ConstructorParams()
-        assert p.atom_merge_iou == 0.5
-        assert p.edge_expand_step == 5.0
-        assert p.edge_expand_limit == 80.0
-        assert p.max_repair_iterations == 10
-
-    @pytest.mark.parametrize("kwargs", [
-        {"atom_merge_iou": -0.1}, {"atom_merge_iou": 1.5},
-        {"edge_expand_step": 0.0}, {"edge_expand_limit": -1.0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ConstructorParams(**kwargs)
 
 
 class TestFilterAtoms:
@@ -138,10 +121,11 @@ class TestBondEndpoints:
         assert bond_endpoints(atoms, bond) == [0, 1]
 
     def test_limit_stops_growth(self):
-        atoms = atoms_channel(det(0, 0, 0, 10, 10), det(0, 35, 0, 45, 10))
-        bond = det(1, 12, 2, 33, 8)
-        params = ConstructorParams(edge_expand_step=5.0, edge_expand_limit=5.0)
-        assert bond_endpoints(atoms, bond, params) == []
+        # gaps of 78px on both sides: the last growth tried is 75px, since
+        # growth stops on reaching the 80px limit, so no atom is met
+        atoms = atoms_channel(det(0, 0, 0, 10, 10), det(0, 186, 0, 196, 10))
+        bond = det(1, 88, 2, 108, 8)
+        assert bond_endpoints(atoms, bond) == []
 
     def test_returns_all_candidates_at_final_size(self):
         atoms = atoms_channel(

@@ -168,16 +168,12 @@ class _Parser:
         self.branch_stack: list[int | None] = []
         self.pending_order: str | None = None
         self.pending_order_pos = 0
-        self.pending_stereo = False
         self.open_rings: dict[int, tuple[int, str | None]] = {}
 
     def error(self, message: str, offset: int | None = None) -> SmilesError:
         return SmilesError(message, self.pos if offset is None else offset)
 
     def add_atom(self, element: str, charge: int, stereo: bool, aromatic: bool) -> None:
-        if self.pending_stereo:
-            stereo = True
-            self.pending_stereo = False
         try:
             atom = Atom(element, charge, stereo)
         except ValueError as exc:
@@ -293,8 +289,6 @@ class _Parser:
                     raise self.error("bond symbol without a preceding atom")
                 self.pending_order = _BOND_SYMBOLS[ch]
                 self.pending_order_pos = self.pos
-                if ch in "/\\":
-                    self.pending_stereo = True
                 self.pos += 1
             elif ch.isdigit():
                 self.ring_closure(int(ch))
@@ -423,6 +417,11 @@ class TestParseBasics:
     def test_slash_bonds_are_single(self):
         g = parse("C/C=C/C")
         assert [b.order for b in g.bonds] == ["single", "double", "single"]
+
+    @pytest.mark.parametrize("text", ["C/1CCC1", "F/C=C/F"])
+    def test_slash_bonds_flag_no_atom(self, text):
+        # '/' and '\' mark double-bond geometry, not a tetrahedral centre
+        assert not any(atom.is_stereocenter for atom in parse(text).atoms)
 
     def test_dot_splits_components(self):
         g = parse("CC.O")
