@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 when --strict is set and any per-image step failed,
 be read or written.  `main` is the one place where a command's error becomes
 exit 2.  `_each_image` is the one place where an error fails one image:
 an ImageError, or a ValueError such as an unreadable label file.
-`--config FILE` is an ordinary flag, so argparse accepts its abbreviations;
-its `key value` lines become every subcommand's defaults.
 """
 
 from __future__ import annotations
@@ -23,47 +21,14 @@ from pathlib import Path
 
 log = logging.getLogger("detmol.cli")
 
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
-
-
-def _config_bool(value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise ValueError(
-            f"expected 1/0/true/false/yes/no, got {value!r}"
-        ) from None
-
-
-_CONFIG_TYPES = {
-    "strict": _config_bool,
-    "jobs": int,
-    "k_max": int,
-    "radius": int,
-    "nbits": int,
-    "edits": int,
-    "seed": int,
-}
-
-
 class FatalCliError(RuntimeError):
     """An error whose message the command line writes itself."""
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            # subcommands parse into a fresh namespace, so their own defaults
-            # would win; pushing config values into every subparser rewrites
-            # the matching action defaults while explicit flags still override
-            defaults = _read_config(args.config)
-            for sub in subparsers:
-                sub.set_defaults(**defaults)
-            args = parser.parse_args(argv)
         failures = args.handler(args)
     except (FatalCliError, OSError, ValueError) as exc:
         # the package's input errors (SmilesError, LabelFileError, ...) are
@@ -91,30 +56,8 @@ def _setup_logging() -> None:
         root.addHandler(handler)
 
 
-def _read_config(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            raise FatalCliError(f"{path}: line {lineno}: expected `key value`")
-        key, value = parts[0], parts[1].strip()
-        caster = _CONFIG_TYPES.get(key)
-        if caster is None:
-            raise FatalCliError(f"{path}: line {lineno}: unknown key {key!r}")
-        try:
-            out[key] = caster(value)
-        except ValueError as exc:
-            raise FatalCliError(f"{path}: line {lineno}: {exc}") from exc
-    return out
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="file of `key value` defaults")
     common.add_argument("--strict", action="store_true",
                         help="exit 1 if any image fails")
     common.add_argument("--jobs", type=int, default=1,
@@ -130,7 +73,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
         description="Molecular graph reconstruction from detection boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    children: list[argparse.ArgumentParser] = []
 
     p = sub.add_parser("construct", parents=[common],
                        help="detections -> SMILES manifest")
@@ -138,7 +80,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
                    help="root directory of per-image label folders")
     p.add_argument("--images", help="file listing image ids to process")
     p.add_argument("--out", default="-", help="output TSV ('-' for stdout)")
-    children.append(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -151,7 +92,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--ref-detections", help="reference boxes root, for mAP")
     p.add_argument("--per-type-csv", help="write per-type accuracies here")
     p.add_argument("--json", action="store_true", help="print a JSON report")
-    children.append(p)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("edit-correct", parents=[common],
@@ -162,7 +102,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--out-labels", help="write projected label folders here")
     p.add_argument("--summary", default="-",
                    help="TSV of image_id, cost, accepted ('-' for stdout)")
-    children.append(p)
     p.set_defaults(handler=_cmd_edit_correct)
 
     p = sub.add_parser("cascade", parents=[common],
@@ -172,7 +111,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--references", help="TSV whose image ids are processed")
     p.add_argument("--images", help="file listing image ids to process")
     p.add_argument("--out", default="-", help="output TSV ('-' for stdout)")
-    children.append(p)
     p.set_defaults(handler=_cmd_cascade)
 
     p = sub.add_parser("fingerprint", parents=[common],
@@ -183,7 +121,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--nbits", type=int, default=2048)
     p.add_argument("--pair", action="store_true",
                    help="print the Tanimoto similarity of exactly two SMILES")
-    children.append(p)
     p.set_defaults(handler=_cmd_fingerprint)
 
     p = sub.add_parser("perturb", parents=[common],
@@ -195,9 +132,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="root directory for label folders")
     p.add_argument("--truth-out", help="write the truth manifest here")
-    children.append(p)
     p.set_defaults(handler=_cmd_perturb)
-    return parser, children
+    return parser
 
 
 def _write_rows(out: str, rows: dict, failed: str = "") -> None:
@@ -252,14 +188,14 @@ def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
 
 def _cmd_construct(args) -> int:
     from .constructor import construct
-    from .entities import read_entity_set
+    from .entities import read_detections
     from .smiles import write
     root = Path(args.detections)
 
     def step(image_id: str) -> str:
         dropped = []
         try:
-            entities = read_entity_set(root, image_id)
+            entities = read_detections(root, image_id)
             return write(construct(entities, dropped))
         finally:
             for warning in dropped:
@@ -307,7 +243,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_edit_correct(args) -> int:
     from .constructor import construct
     from .editcorrect import edit_correct, project_pseudo_labels
-    from .entities import read_entity_set, read_manifest, write_entity_set
+    from .entities import read_detections, read_manifest, write_entity_set
     from .smiles import SmilesError, parse
     references = read_manifest(args.references)
     root = Path(args.detections)
@@ -327,7 +263,7 @@ def _cmd_edit_correct(args) -> int:
         out_root.mkdir(parents=True, exist_ok=True)
 
     def step(image_id: str) -> str:
-        entities = read_entity_set(root, image_id)
+        entities = read_detections(root, image_id)
         correction = edit_correct(
             construct(entities), ref_graphs[image_id], args.k_max)
         if correction is None:
@@ -345,6 +281,8 @@ def _cmd_edit_correct(args) -> int:
 def _cmd_cascade(args) -> int:
     from .entities import read_manifest
     from .experts import cascade, load_cascade_config
+    if args.jobs < 1:
+        raise FatalCliError("--jobs must be >= 1")
     experts = load_cascade_config(args.experts)
     if args.references:
         image_ids = sorted(read_manifest(args.references))

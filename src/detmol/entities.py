@@ -204,6 +204,8 @@ def parse_label_file(text: str, kind: str) -> EntityChannel:
             raise LabelFileError(
                 f"line {lineno}: class id {class_id} not in {kind} vocabulary"
             )
+        if not all(map(math.isfinite, coords)):
+            raise LabelFileError(f"line {lineno}: coordinate is not finite")
         try:
             box = BBox(*coords)
             boxes.append(DetBox(box, class_id, score))
@@ -244,9 +246,9 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
 
     A missing channel file is an empty channel; the detector may simply
     have found nothing of that kind.  So is every channel of an image whose
-    folder is missing or is not a directory.  An id that is not a single
-    folder name, or a channel file that cannot be read, raises
-    LabelFileError.
+    folder is missing or is not a directory; `read_detections` rejects that
+    image instead.  An id that is not a single folder name, or a channel
+    file that cannot be read, raises LabelFileError.
     """
     base = _image_dir(root, image_id)
     channels = {}
@@ -262,6 +264,16 @@ def read_entity_set(root: str | Path, image_id: str) -> EntitySet:
             channels[kind] = parse_label_file(text, kind)
     return EntitySet(image_id, channels["atom"], channels["bond"],
                      channels["charge"], channels["stereo"])
+
+
+def read_detections(root: str | Path, image_id: str) -> EntitySet:
+    """`read_entity_set` for an image that must have been detected: its
+    folder under root must exist, so a listed id without one raises
+    LabelFileError instead of reading as an image with no boxes."""
+    folder = _image_dir(root, image_id)
+    if not folder.is_dir():
+        raise LabelFileError(f"no detections at {folder}")
+    return read_entity_set(root, image_id)
 
 
 def write_entity_set(root: str | Path, entity_set: EntitySet) -> Path:

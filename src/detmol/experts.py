@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constructor import construct
-from .entities import ImageError, read_entity_set, read_manifest
+from .entities import ImageError, read_detections, read_manifest
 from .molgraph import RepairError, detect_problems
 from .smiles import SmilesError, parse, write
 
@@ -75,11 +75,8 @@ class ExpertAdapter:
             raise ExpertFailure(f"{self.name}: no row for {image_id}") from None
 
     def _from_detections(self, image_id: str) -> str:
-        folder = Path(self.source) / image_id
-        if not folder.is_dir():
-            raise ExpertFailure(f"{self.name}: no detections at {folder}")
         try:
-            entities = read_entity_set(self.source, image_id)
+            entities = read_detections(self.source, image_id)
             graph = construct(entities)
         except (RepairError, ValueError) as exc:
             raise ExpertFailure(f"{self.name}: {exc}") from exc

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import detmol
-from detmol import FpParams, ecfp, isomorphic, parse, read_manifest
+from detmol import ecfp, isomorphic, parse, read_manifest
 from detmol.cli import main
 
 
@@ -66,72 +66,6 @@ class TestUsage:
         refs.write_text("img1\tC1CC\n")
         assert run("evaluate", "--predictions", str(preds),
                    "--references", str(refs)) == 2
-
-
-class TestConfigFile:
-    def test_defaults_applied(self, tmp_path, capsys):
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("radius 2\nnbits 64\n")
-        assert run("fingerprint", "--config", str(cfg), "CCO") == 0
-        out = capsys.readouterr().out.strip()
-        assert out == ecfp(parse("CCO"), FpParams(2, 64)).to_hex()
-
-    def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("radius 2\nnbits 64\n")
-        assert run("fingerprint", "--config", str(cfg), "--radius", "0",
-                   "CCO") == 0
-        out = capsys.readouterr().out.strip()
-        assert out == ecfp(parse("CCO"), FpParams(0, 64)).to_hex()
-
-    def test_comments_and_blanks_allowed(self, tmp_path, capsys):
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("# fingerprint size\n\nnbits 64\n")
-        assert run("fingerprint", "--config=" + str(cfg), "CCO") == 0
-        assert len(capsys.readouterr().out.strip()) == 64 // 4
-
-    def test_unknown_key_fatal(self, tmp_path):
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("warp_speed 9\n")
-        assert run("fingerprint", "--config", str(cfg), "CCO") == 2
-
-    def test_malformed_line_fatal(self, tmp_path):
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("radius\n")
-        assert run("fingerprint", "--config", str(cfg), "CCO") == 2
-
-    def test_missing_file_fatal(self, tmp_path):
-        assert run("fingerprint", "--config", str(tmp_path / "nope"), "C") == 2
-
-    def test_config_flag_without_value_fatal(self):
-        # a bare trailing --config is an argparse usage error
-        with pytest.raises(SystemExit) as err:
-            run("fingerprint", "C", "--config")
-        assert err.value.code == 2
-
-    @pytest.mark.parametrize("flag", ["--conf", "--confi"])
-    def test_abbreviated_flag_applies_config(self, tmp_path, capsys, flag):
-        # argparse accepts any unambiguous prefix of --config, so the file
-        # it names must be read, as it is for the full flag
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text("radius 2\nnbits 64\n")
-        assert run("fingerprint", flag, str(cfg), "CCO") == 0
-        out = capsys.readouterr().out.strip()
-        assert out == ecfp(parse("CCO"), FpParams(2, 64)).to_hex()
-
-    @pytest.mark.parametrize("value, code", [
-        ("1", 1), ("TRUE", 1), ("yes", 1), ("0", 0), ("False", 0), ("NO", 0),
-        ("maybe", 2), ("2", 2),
-    ])
-    def test_boolean_values(self, tmp_path, value, code):
-        # a failing image exits 1 under strict and 0 without it; a value
-        # that is neither is a configuration error, not a silent false
-        manifest = tmp_path / "m.tsv"
-        manifest.write_text("img2\tC1CC\n")
-        cfg = tmp_path / "detmol.conf"
-        cfg.write_text(f"strict {value}\n")
-        assert run("fingerprint", "--config", str(cfg),
-                   "--manifest", str(manifest)) == code
 
 
 class TestFingerprint:
@@ -427,7 +361,11 @@ class TestErrorBoundary:
           "--references", "{d}/truth.tsv", "--k-max", "-1"], "--k-max must be >= 0"),
         (["perturb", "--smiles", "CC", "--edits", "-1", "--out", "{d}/more"],
          "--edits must be >= 0"),
-    ], ids=["detections-file", "k-max", "edits"])
+        (["cascade", "--experts", "{d}/experts.conf", "--images", "{d}/ids.txt",
+          "--jobs", "0"], "--jobs must be >= 1"),
+        (["cascade", "--experts", "{d}/experts.conf", "--images", "{d}/ids.txt",
+          "--jobs", "-3"], "--jobs must be >= 1"),
+    ], ids=["detections-file", "k-max", "edits", "jobs-0", "jobs-negative"])
     def test_bad_value(self, rendered, capsys, argv, message):
         capsys.readouterr()
         assert run(*(arg.format(d=rendered) for arg in argv)) == 2
@@ -553,6 +491,32 @@ class TestPerImageFailure:
         [message] = [rec.getMessage() for rec in caplog.records
                      if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
         assert message.startswith("imgB: ")
+
+    @pytest.mark.parametrize("command", ["construct", "edit-correct"])
+    def test_listed_id_without_folder(self, rendered, caplog, command):
+        # a listed id with no folder under --detections is a failed image,
+        # not an image in which nothing was detected
+        if command == "construct":
+            (rendered / "ids.txt").write_text("imgA\nimgZ\n")
+            argv = ["construct", "--images", str(rendered / "ids.txt"),
+                    "--out", str(rendered / "out.tsv")]
+        else:
+            (rendered / "refs.tsv").write_text("imgA\tCCO\nimgZ\tCO\n")
+            argv = ["edit-correct", "--references", str(rendered / "refs.tsv"),
+                    "--out-labels", str(rendered / "fixed"),
+                    "--summary", str(rendered / "out.tsv")]
+        with caplog.at_level(logging.ERROR, logger="detmol.cli"):
+            assert run(*argv, "--detections", str(rendered / "labels"),
+                       "--strict") == 1
+        rows = read_manifest(rendered / "out.tsv")
+        if command == "construct":
+            assert rows == {"imgA": "C1CO1", "imgZ": ""}
+        else:
+            assert rows == {"imgA": "1\tyes", "imgZ": "no"}
+            assert [p.name for p in (rendered / "fixed").iterdir()] == ["imgA"]
+        [message] = [rec.getMessage() for rec in caplog.records
+                     if rec.levelno == logging.ERROR and rec.name == "detmol.cli"]
+        assert message == f"imgZ: no detections at {rendered / 'labels' / 'imgZ'}"
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_unreadable_label_file_in_cascade(self, rendered, caplog, strict):

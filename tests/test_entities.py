@@ -116,6 +116,13 @@ class TestLabelFiles:
         with pytest.raises(LabelFileError, match="line 2: expected 5 fields, got 4"):
             parse_label_file(text, "atom")
 
+    @pytest.mark.parametrize("row", ["0,0,0,inf,20", "0,-inf,0,10,20"])
+    def test_non_finite_coordinate_rejected(self, row):
+        # BBox accepts an infinite side, so the reader must reject it
+        text = f"label,xmin,ymin,xmax,ymax\n0,1,2,11,12\n{row}\n"
+        with pytest.raises(LabelFileError, match="line 3: coordinate is not finite"):
+            parse_label_file(text, "atom")
+
     def test_channel_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown channel kind: 'ring'"):
             EntityChannel("ring", ())
