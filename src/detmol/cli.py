@@ -15,14 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-# Each handler imports the detmol names it uses when it runs: the package
-# executes a submodule on its first use, so a command runs only the modules
-# it needs.
+from . import constructor, editcorrect, entities, experts, fingerprint, metrics, smiles
 
 log = logging.getLogger("detmol.cli")
-
-class FatalCliError(RuntimeError):
-    """An error whose message the command line writes itself."""
 
 
 def main(argv=None) -> int:
@@ -30,10 +25,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         failures = args.handler(args)
-    except (FatalCliError, OSError, ValueError) as exc:
-        # the package's input errors (SmilesError, LabelFileError, ...) are
-        # ValueErrors; an OSError is a file other than a label file that
-        # cannot be read, or an output that cannot be written
+    except (OSError, ValueError) as exc:
+        # a bad option value, and the package's input errors (SmilesError,
+        # LabelFileError, ...), are ValueErrors; an OSError is a file other
+        # than a label file that cannot be read, or an output that cannot be
+        # written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failures:
@@ -108,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a recognizer cascade over images")
     p.add_argument("--experts", required=True,
                    help="config file: `name kind source` per line")
-    p.add_argument("--references", help="TSV whose image ids are processed")
-    p.add_argument("--images", help="file listing image ids to process")
+    p.add_argument("--images", required=True,
+                   help="file listing image ids to process")
     p.add_argument("--out", default="-", help="output TSV ('-' for stdout)")
     p.set_defaults(handler=_cmd_cascade)
 
@@ -137,24 +133,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_rows(out: str, rows: dict, failed: str = "") -> None:
-    from .entities import write_manifest
     rows = {image_id: failed if value is None else value
             for image_id, value in rows.items()}
     if out == "-":
         for image_id, value in rows.items():
             sys.stdout.write(f"{image_id}\t{value}\n")
     else:
-        write_manifest(out, rows)
+        entities.write_manifest(out, rows)
 
 
-def _detection_ids(args) -> list[str]:
-    from .entities import read_manifest
+def _detections_root(args) -> Path:
     root = Path(args.detections)
     if not root.is_dir():
-        raise FatalCliError(f"not a directory: {root}")
-    if args.images:
-        return list(read_manifest(args.images))
-    return sorted(p.name for p in root.iterdir() if p.is_dir())
+        raise ValueError(f"not a directory: {root}")
+    return root
 
 
 def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
@@ -162,12 +154,11 @@ def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
     value and the number of images that failed.  An ImageError or a
     ValueError fails its image only: it is logged, counted, and the image's
     value is None.  Any other error ends the run."""
-    from .entities import ImageError
 
     def one(image_id: str):
         try:
             return step(image_id), None
-        except (ImageError, ValueError) as exc:
+        except (entities.ImageError, ValueError) as exc:
             return None, exc
 
     if jobs > 1:
@@ -187,47 +178,45 @@ def _each_image(image_ids, step, jobs: int = 1) -> tuple[dict, int]:
 
 
 def _cmd_construct(args) -> int:
-    from .constructor import construct
-    from .entities import read_detections
-    from .smiles import write
-    root = Path(args.detections)
+    root = _detections_root(args)
+    image_ids = (list(entities.read_manifest(args.images)) if args.images
+                 else sorted(p.name for p in root.iterdir() if p.is_dir()))
 
     def step(image_id: str) -> str:
         dropped = []
         try:
-            entities = read_detections(root, image_id)
-            return write(construct(entities, dropped))
+            boxes = entities.read_detections(root, image_id)
+            return smiles.write(constructor.construct(boxes, dropped))
         finally:
             for warning in dropped:
                 log.warning("%s", warning.format())
 
-    rows, failures = _each_image(_detection_ids(args), step)
+    rows, failures = _each_image(image_ids, step)
     _write_rows(args.out, rows)
     return failures
 
 
 def _cmd_evaluate(args) -> int:
-    from .entities import read_entity_set, read_manifest
-    from .fingerprint import FpParams
-    from .metrics import evaluate_dataset
-    predictions = read_manifest(args.predictions)
-    references = read_manifest(args.references)
+    predictions = entities.read_manifest(args.predictions)
+    references = entities.read_manifest(args.references)
     if bool(args.pred_detections) != bool(args.ref_detections):
-        raise FatalCliError(
+        raise ValueError(
             "--pred-detections and --ref-detections must be given together"
         )
     pred_entities = ref_entities = None
     if args.pred_detections:
+        # a predicted folder may be missing because nothing was detected;
+        # every reference must have its true boxes
         pred_entities = {
-            image_id: read_entity_set(args.pred_detections, image_id)
+            image_id: entities.read_entity_set(args.pred_detections, image_id)
             for image_id in references
         }
         ref_entities = {
-            image_id: read_entity_set(args.ref_detections, image_id)
+            image_id: entities.read_detections(args.ref_detections, image_id)
             for image_id in references
         }
-    report = evaluate_dataset(
-        predictions, references, FpParams(args.radius, args.nbits),
+    report = metrics.evaluate_dataset(
+        predictions, references, fingerprint.FpParams(args.radius, args.nbits),
         pred_entities, ref_entities,
     )
     if args.per_type_csv:
@@ -241,36 +230,30 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_edit_correct(args) -> int:
-    from .constructor import construct
-    from .editcorrect import edit_correct, project_pseudo_labels
-    from .entities import read_detections, read_manifest, write_entity_set
-    from .smiles import SmilesError, parse
-    references = read_manifest(args.references)
-    root = Path(args.detections)
-    if not root.is_dir():
-        raise FatalCliError(f"not a directory: {root}")
+    references = entities.read_manifest(args.references)
+    root = _detections_root(args)
     if args.k_max < 0:
-        raise FatalCliError("--k-max must be >= 0")
+        raise ValueError("--k-max must be >= 0")
     # a bad reference ends the run before any pseudo-label is written
     ref_graphs = {}
     for image_id in sorted(references):
         try:
-            ref_graphs[image_id] = parse(references[image_id])
-        except SmilesError as exc:
-            raise FatalCliError(f"{image_id}: bad reference: {exc}") from exc
+            ref_graphs[image_id] = smiles.parse(references[image_id])
+        except smiles.SmilesError as exc:
+            raise ValueError(f"{image_id}: bad reference: {exc}") from exc
     out_root = Path(args.out_labels) if args.out_labels else None
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
 
     def step(image_id: str) -> str:
-        entities = read_detections(root, image_id)
-        correction = edit_correct(
-            construct(entities), ref_graphs[image_id], args.k_max)
+        boxes = entities.read_detections(root, image_id)
+        correction = editcorrect.edit_correct(
+            constructor.construct(boxes), ref_graphs[image_id], args.k_max)
         if correction is None:
             return "\tno"
         if out_root is not None:
-            write_entity_set(out_root, project_pseudo_labels(
-                entities, correction.script, correction.graph))
+            entities.write_entity_set(out_root, editcorrect.project_pseudo_labels(
+                boxes, correction.script, correction.graph))
         return f"{correction.script.cost}\tyes"
 
     rows, failures = _each_image(list(ref_graphs), step)
@@ -279,20 +262,13 @@ def _cmd_edit_correct(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    from .entities import read_manifest
-    from .experts import cascade, load_cascade_config
     if args.jobs < 1:
-        raise FatalCliError("--jobs must be >= 1")
-    experts = load_cascade_config(args.experts)
-    if args.references:
-        image_ids = sorted(read_manifest(args.references))
-    elif args.images:
-        image_ids = list(read_manifest(args.images))
-    else:
-        raise FatalCliError("one of --references or --images is required")
+        raise ValueError("--jobs must be >= 1")
+    adapters = experts.load_cascade_config(args.experts)
+    image_ids = list(entities.read_manifest(args.images))
 
     def step(image_id: str) -> str:
-        result = cascade(experts, image_id)
+        result = experts.cascade(adapters, image_id)
         log.info("%s: %s via %s (valid=%s)",
                  image_id, result.smiles, result.expert, result.valid)
         return result.smiles
@@ -303,26 +279,24 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    from .entities import read_manifest
-    from .fingerprint import FpParams, ecfp, tanimoto
-    from .smiles import parse
-    fp_params = FpParams(args.radius, args.nbits)
+    fp_params = fingerprint.FpParams(args.radius, args.nbits)
     if args.manifest:
         if args.smiles or args.pair:
-            raise FatalCliError("--manifest excludes positional SMILES and --pair")
-        smiles_of = read_manifest(args.manifest)
+            raise ValueError("--manifest excludes positional SMILES and --pair")
+        smiles_of = entities.read_manifest(args.manifest)
         rows, failures = _each_image(
             list(smiles_of),
-            lambda image_id: ecfp(parse(smiles_of[image_id]), fp_params).to_hex())
+            lambda image_id: fingerprint.ecfp(
+                smiles.parse(smiles_of[image_id]), fp_params).to_hex())
         _write_rows("-", rows)
         return failures
     if not args.smiles:
-        raise FatalCliError("give SMILES arguments or --manifest")
-    prints = [ecfp(parse(s), fp_params) for s in args.smiles]
+        raise ValueError("give SMILES arguments or --manifest")
+    prints = [fingerprint.ecfp(smiles.parse(s), fp_params) for s in args.smiles]
     if args.pair:
         if len(prints) != 2:
-            raise FatalCliError("--pair needs exactly two SMILES")
-        print(f"{tanimoto(prints[0], prints[1]):.6f}")
+            raise ValueError("--pair needs exactly two SMILES")
+        print(f"{fingerprint.tanimoto(prints[0], prints[1]):.6f}")
     else:
         for fp in prints:
             print(fp.to_hex())
@@ -330,14 +304,11 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .editcorrect import plant_errors
-    from .entities import read_manifest, write_entity_set, write_manifest
-    from .smiles import parse
     if bool(args.smiles) == bool(args.manifest):
-        raise FatalCliError("give exactly one of --smiles or --manifest")
+        raise ValueError("give exactly one of --smiles or --manifest")
     if args.edits < 0:
-        raise FatalCliError("--edits must be >= 0")
-    smiles_of = (read_manifest(args.manifest) if args.manifest
+        raise ValueError("--edits must be >= 0")
+    smiles_of = (entities.read_manifest(args.manifest) if args.manifest
                  else {args.image_id: args.smiles})
     seed_of = {image_id: args.seed + offset
                for offset, image_id in enumerate(smiles_of)}
@@ -345,15 +316,15 @@ def _cmd_perturb(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
 
     def step(image_id: str) -> str:
-        graph = parse(smiles_of[image_id])
-        entities = plant_errors(graph, args.edits, seed_of[image_id], image_id)
-        write_entity_set(out_root, entities)
+        graph = smiles.parse(smiles_of[image_id])
+        entities.write_entity_set(out_root, editcorrect.plant_errors(
+            graph, args.edits, seed_of[image_id], image_id))
         return smiles_of[image_id]
 
     rendered, failures = _each_image(list(smiles_of), step)
     if args.truth_out:
-        write_manifest(args.truth_out, {image_id: smiles for image_id, smiles
-                                        in rendered.items() if smiles is not None})
+        entities.write_manifest(args.truth_out, {image_id: text for image_id, text
+                                                 in rendered.items() if text is not None})
     return failures
 
 

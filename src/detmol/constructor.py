@@ -8,7 +8,7 @@ from .entities import (
     ATOM_CLASSES, BOND_CLASSES, CHARGE_CLASSES, BBox, DetBox, EntityChannel,
     EntitySet, expand, intersects, iou,
 )
-from .molgraph import ORDER_VALUE, Atom, Bond, MolGraph, repair
+from .molgraph import ORDER_VALUE, Atom, Bond, MolGraph, find, repair
 
 
 # The constructor's one geometry: atom boxes overlapping above this IoU
@@ -40,20 +40,13 @@ def filter_atoms(atoms: EntityChannel) -> EntityChannel:
     """
     n = len(atoms.boxes)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for i in range(n):
         for j in range(i + 1, n):
             if iou(atoms.boxes[i].box, atoms.boxes[j].box) > ATOM_MERGE_IOU:
-                parent[find(i)] = find(j)
+                parent[find(parent, i)] = find(parent, j)
     best: dict[int, int] = {}
     for i, det in enumerate(atoms.boxes):
-        root = find(i)
+        root = find(parent, i)
         if root not in best or det.score > atoms.boxes[best[root]].score:
             best[root] = i
     keep = sorted(best.values())

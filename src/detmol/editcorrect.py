@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 from .constructor import construct, resolve_endpoints
 from .entities import (
-    ATOM_CLASSES, BOND_CLASSES, CHARGE_CLASSES, BBox, DetBox, EntityChannel,
-    EntitySet, ImageError, intersects,
+    ATOM_IDS, BOND_IDS, CHARGE_IDS, BBox, DetBox, EntityChannel, EntitySet,
+    ImageError, intersects,
 )
 from .molgraph import (
     ORDER_VALUE, Atom, Bond, MolGraph, _labels, _search_mapping,
@@ -446,9 +446,6 @@ def _small_box(center: tuple[float, float], half: float) -> BBox:
                 center[0] + half, center[1] + half)
 
 
-_BOND_IDS = {name: i for i, name in BOND_CLASSES.items()}
-_ATOM_IDS = {symbol: i for i, symbol in ATOM_CLASSES.items()}
-_CHARGE_IDS = {value: i for i, value in CHARGE_CLASSES.items()}
 _PLAIN_ORDERS = ("single", "double", "triple")
 
 
@@ -459,14 +456,14 @@ def _entity_set(graph: MolGraph, image_id: str) -> EntitySet:
     return EntitySet(
         image_id,
         EntityChannel("atom", tuple(
-            DetBox(a.source_box, _ATOM_IDS[a.element]) for a in graph.atoms
+            DetBox(a.source_box, ATOM_IDS[a.element]) for a in graph.atoms
         )),
         EntityChannel("bond", tuple(
-            DetBox(b.source_box, _BOND_IDS[b.order]) for b in graph.bonds
+            DetBox(b.source_box, BOND_IDS[b.order]) for b in graph.bonds
         )),
         EntityChannel("charge", tuple(
             DetBox(_small_box(a.source_box.center, CHARGE_BOX_HALF),
-                   _CHARGE_IDS[a.formal_charge])
+                   CHARGE_IDS[a.formal_charge])
             for a in graph.atoms if a.formal_charge != 0
         )),
         EntityChannel("stereo", tuple(
@@ -539,7 +536,7 @@ def plant_errors(
     def resolves_to(u: int, v: int) -> bool:
         """Whether a bond box drawn from u to v re-constructs onto u and v."""
         box = _bond_box(positions[u], positions[v])
-        _, pair = resolve_endpoints(det_atoms, DetBox(box, _BOND_IDS["single"]))
+        _, pair = resolve_endpoints(det_atoms, DetBox(box, BOND_IDS["single"]))
         return pair is not None and (min(pair), max(pair)) == (u, v)
 
     touched_atoms: set[int] = set()
@@ -565,7 +562,7 @@ def plant_errors(
                     continue
                 out.extend(
                     EditOp.relabel_atom(i, element, atom.formal_charge)
-                    for element in sorted(_ATOM_IDS)
+                    for element in sorted(ATOM_IDS)
                     if element != atom.element and fits(i, 0.0, element)
                 )
         elif kind == "insert_bond":

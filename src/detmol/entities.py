@@ -23,7 +23,20 @@ CHARGE_CLASSES: dict[int, int] = {
 
 STEREO_CLASSES: dict[int, str] = {0: "stereocenter"}
 
-CHANNEL_KINDS = ("atom", "bond", "charge", "stereo")
+#: Each label's class id: the inverses of the class tables.
+ATOM_IDS: dict[str, int] = {symbol: i for i, symbol in ATOM_CLASSES.items()}
+BOND_IDS: dict[str, int] = {name: i for i, name in BOND_CLASSES.items()}
+CHARGE_IDS: dict[int, int] = {value: i for i, value in CHARGE_CLASSES.items()}
+
+#: Each channel's class ids and their meaning.
+VOCABS: dict[str, dict[int, object]] = {
+    "atom": ATOM_CLASSES,
+    "bond": BOND_CLASSES,
+    "charge": CHARGE_CLASSES,
+    "stereo": STEREO_CLASSES,
+}
+
+CHANNEL_KINDS = tuple(VOCABS)
 
 _HEADER = "label,xmin,ymin,xmax,ymax"
 _HEADER_SCORED = _HEADER + ",score"
@@ -36,15 +49,6 @@ class ImageError(RuntimeError):
 class LabelFileError(ValueError):
     """Raised for a malformed or unreadable label file; messages name the
     line or the file."""
-
-
-#: Each channel's class ids and their meaning.
-VOCABS: dict[str, dict[int, object]] = {
-    "atom": ATOM_CLASSES,
-    "bond": BOND_CLASSES,
-    "charge": CHARGE_CLASSES,
-    "stereo": STEREO_CLASSES,
-}
 
 
 @dataclass(frozen=True)

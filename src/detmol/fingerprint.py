@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entities import ATOM_CLASSES
+from .entities import ATOM_IDS, BOND_IDS
 from .molgraph import MolGraph, atom_invariants, implicit_hydrogens, neighbours
 
 _M64 = (1 << 64) - 1
 _SEED = 0x5D70C1E3A9F4B827
-
-_ELEMENT_IDS = {symbol: i for i, symbol in ATOM_CLASSES.items()}
-_ORDER_IDS = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
 
 
 def _mix(x: int) -> int:
@@ -89,7 +86,7 @@ def ecfp(graph: MolGraph, params: FpParams = FpParams()) -> Fingerprint:
     """
     nbrs = neighbours(graph)
     ids = [
-        _hash_ints((_ELEMENT_IDS[element], charge + 16, degree, occupied, hydrogens))
+        _hash_ints((ATOM_IDS[element], charge + 16, degree, occupied, hydrogens))
         for (element, charge, degree, occupied), hydrogens in zip(
             atom_invariants(graph, nbrs), implicit_hydrogens(graph)
         )
@@ -100,7 +97,7 @@ def ecfp(graph: MolGraph, params: FpParams = FpParams()) -> Fingerprint:
     for _ in range(params.radius):
         new_ids = []
         for i, row in enumerate(nbrs):
-            env = sorted((_ORDER_IDS[code], ids[j]) for j, code in row)
+            env = sorted((BOND_IDS[code], ids[j]) for j, code in row)
             flat: list[int] = [ids[i]]
             for order_id, neighbor_id in env:
                 flat.append(order_id)

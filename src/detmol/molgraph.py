@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .entities import BBox, ImageError
+from .entities import CHARGE_CLASSES, BBox, ImageError
 
 WILDCARD = "*"
 
@@ -39,7 +39,7 @@ DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
 #: Elements whose cation charge raises the allowed valence.
 _CATION_ADJUSTED = {"N", "P"}
 
-MIN_CHARGE, MAX_CHARGE = -2, 6
+MIN_CHARGE, MAX_CHARGE = min(CHARGE_CLASSES.values()), max(CHARGE_CLASSES.values())
 
 
 class ValenceConfigError(ValueError):
@@ -240,6 +240,14 @@ def dense_rank(keys: list) -> list[int]:
     """Each key's position among the distinct keys in sorted order."""
     index = {k: r for r, k in enumerate(sorted(set(keys)))}
     return [index[k] for k in keys]
+
+
+def find(parent: list[int] | dict[int, int], i: int) -> int:
+    """The root of i in the union-find forest `parent` (each member's
+    parent, a root its own), halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 def refine(nbrs: list[list[tuple[int, str]]], colors: list[int]) -> list[int]:

@@ -7,7 +7,7 @@ import re
 from .entities import ATOM_CLASSES
 from .molgraph import (
     MAX_CHARGE, MIN_CHARGE, Atom, Bond, MolGraph, _labels, atom_invariants,
-    dense_rank, match_order, neighbours, refine,
+    dense_rank, find, match_order, neighbours, refine,
 )
 
 ORGANIC_SUBSET = ("Cl", "Br", "B", "C", "N", "O", "S", "P", "F", "I")
@@ -195,14 +195,8 @@ def parse(text: str) -> MolGraph:
 def _merge_orbits(roots: dict[int, int], cell: list[int], gamma: list[int]) -> None:
     """Join the orbits of `roots` (a union-find forest whose roots are the
     least members) along the cycles of `gamma`, which maps `cell` onto itself."""
-
-    def find(i: int) -> int:
-        while roots[i] != i:
-            roots[i] = i = roots[roots[i]]
-        return i
-
     for i in cell:
-        a, b = find(i), find(gamma[i])
+        a, b = find(roots, i), find(roots, gamma[i])
         if a != b:
             roots[max(a, b)] = min(a, b)
 

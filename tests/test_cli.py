@@ -239,18 +239,18 @@ class TestCascadeCommand:
             f"primary table {table}\n"
             "backup command /bin/sh -c 'echo CCN' {image_id}\n"
         )
-        refs = tmp_path / "refs.tsv"
-        refs.write_text("img1\tCCO\nimg2\tCCN\nimg3\tCCN\nimg4\tCCN\n")
+        ids = tmp_path / "ids.tsv"
+        ids.write_text("img1\tCCO\nimg2\tCCN\nimg3\tCCN\nimg4\tCCN\n")
         out = tmp_path / "out.tsv"
         assert run("cascade", "--experts", str(cfg),
-                   "--references", str(refs), "--out", str(out)) == 0
+                   "--images", str(ids), "--out", str(out)) == 0
         assert read_manifest(out) == {
             "img1": "CCO", "img2": "CCN", "img3": "CCN", "img4": "CCN",
         }
         # cascade is the one command that runs images on a thread pool
         threaded = tmp_path / "threaded.tsv"
         assert run("cascade", "--experts", str(cfg), "--jobs", "3",
-                   "--references", str(refs), "--out", str(threaded)) == 0
+                   "--images", str(ids), "--out", str(threaded)) == 0
         assert threaded.read_text() == out.read_text()
 
     def test_all_experts_fail_strict(self, tmp_path):
@@ -288,10 +288,12 @@ class TestCascadeCommand:
             "img2: every expert failed",
             "img3: every expert failed"]
 
-    def test_needs_reference_or_images(self, tmp_path):
+    def test_needs_images(self, tmp_path):
         cfg = tmp_path / "experts.conf"
         cfg.write_text("only command /bin/echo\n")
-        assert run("cascade", "--experts", str(cfg)) == 2
+        with pytest.raises(SystemExit) as err:
+            run("cascade", "--experts", str(cfg))
+        assert err.value.code == 2
 
     def test_bad_config_fatal(self, tmp_path):
         cfg = tmp_path / "experts.conf"
@@ -349,9 +351,12 @@ class TestErrorBoundary:
         ["evaluate", "--predictions", "{d}/truth.tsv",
          "--references", "{d}/truth.tsv", "--pred-detections", "{d}/bad",
          "--ref-detections", "{d}/labels"],
+        ["evaluate", "--predictions", "{d}/truth.tsv",
+         "--references", "{d}/truth.tsv", "--pred-detections", "{d}/labels",
+         "--ref-detections", "{d}/no_such_root"],
         ["cascade", "--experts", "{d}/experts.conf", "--images", "{d}/ids.txt"],
     ], ids=["nbits", "images-list", "predictions-manifest",
-            "pred-detections", "expert-kind"])
+            "pred-detections", "ref-detections", "expert-kind"])
     def test_bad_input(self, rendered, capsys, argv):
         self.check(rendered, argv, capsys)
 
@@ -636,6 +641,9 @@ class TestStartup:
     def test_command_runs_only_its_modules(self, tmp_path, argv, unexecuted):
         manifest = tmp_path / "refs.tsv"
         manifest.write_text("img1\tCCO\n")
+        # construct reads and builds one image
+        assert run("perturb", "--smiles", "CCO", "--image-id", "img1",
+                   "--out", str(tmp_path)) == 0
         done = fresh_python("-c", (
             "import sys\n"
             f"root, manifest = {str(tmp_path)!r}, {str(manifest)!r}\n"
